@@ -20,8 +20,9 @@
 //!   --iters N         iteration factor (default 8; gcc unaffected)
 //!   --scale F         size scale factor (default 1.0)
 //!   --cold            cold fast-forward (no warming) — scale-amplified
-//!   --jobs N          worker threads for the suite run (default 0 = all
-//!                     cores); results are bit-identical for every N
+//!   --jobs N          benchmarks in flight; each uses up to two lanes
+//!                     (default 0 = one per core); results are
+//!                     bit-identical for every N
 //!   --shards N        trace segments per profiling pass (default 1 =
 //!                     monolithic); shards profile concurrently without
 //!                     materialising the prefix, and their merge is
@@ -357,7 +358,7 @@ fn run(o: &Options) -> Result<(), String> {
         };
         info!(
             "suite",
-            "running {} benchmarks x 3 methods x 2 configs on {} worker(s)...",
+            "running {} benchmarks x 3 methods x 2 configs with {} in flight (two lanes each)...",
             exp.suite.len(),
             mlpa_core::effective_jobs(exp.jobs).min(exp.suite.len().max(1)),
         );

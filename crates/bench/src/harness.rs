@@ -4,8 +4,8 @@
 
 use mlpa_core::prelude::*;
 use mlpa_core::{
-    attribute_segments, execute_plan_cached, ground_truth_cached, ground_truth_segmented_cached,
-    AccuracyAttribution, CoastsOutcome, FineOutcome, MultilevelOutcome,
+    attribute_segments, execute_plan_cached, prepare_ground_truth, prepare_ground_truth_segmented,
+    AccuracyAttribution, CoastsOutcome, ExecutionOutcome, FineOutcome, MultilevelOutcome,
 };
 use mlpa_sim::{MachineConfig, MetricDeviation, MetricEstimate, SimMetrics};
 use mlpa_workloads::{BenchmarkSpec, CompiledBenchmark, Suite};
@@ -95,9 +95,10 @@ pub struct Experiment {
     pub fine: SimPointConfig,
     /// Fine interval length.
     pub fine_interval: u64,
-    /// Worker threads for [`Experiment::run`]: `1` = serial (the
-    /// default), `0` = every available core, `n` = a pool of `n`.
-    /// Results are bit-identical for every value.
+    /// Benchmarks in flight for [`Experiment::run`]; each uses up to two
+    /// lanes (see [`Experiment::run_benchmark`]). `1` = one at a time
+    /// (the default), `0` = one per available core, `n` = a pool of
+    /// `n`. Results are bit-identical for every value.
     pub jobs: usize,
     /// Trace segments per profiling pass (1 = monolithic). Each shard
     /// fast-forwards to its segment without materialising instructions
@@ -152,6 +153,22 @@ impl Experiment {
 
     /// Run one benchmark through every method and both configs.
     ///
+    /// The work runs on two lanes: this thread, and a helper thread
+    /// that runs the ground-truth detailed passes beside it. The plans
+    /// are architecture-independent, so Config B's truth needs nothing
+    /// from selection and Config A's segmented truth needs only the
+    /// COASTS interval lengths. The schedule is fixed:
+    ///
+    /// 1. Config B ground truth ∥ profiling and the three selections;
+    /// 2. Config A segmented ground truth ∥ Config A's plan executions;
+    /// 3. Config B's plan executions, alone — they hold the run's peak
+    ///    memory (the warm 2 MB-L2 hierarchy plus a per-point clone).
+    ///
+    /// Each truth pass is built on this thread and only run on the
+    /// helper (see [`mlpa_core::TruthTask`]). Results are bit-identical
+    /// to running the same calls one after another, and a panic on
+    /// either lane resurfaces here with its original payload.
+    ///
     /// # Errors
     ///
     /// Propagates compilation and selection errors (invalid spec, no
@@ -160,85 +177,46 @@ impl Experiment {
         let _span = mlpa_obs::span_labeled("bench.benchmark", &spec.name);
         let t0 = std::time::Instant::now();
         let cb = CompiledBenchmark::compile(spec)?;
+        let cache = self.cache.as_deref();
+        let [config_a, config_b] = &self.configs;
+        let execute = |config: &MachineConfig, sel: &Selection| {
+            sel.plans().map(|plan| execute_plan_cached(cache, &cb, config, plan, self.warmup, 1))
+        };
 
-        // Plans, sharing one profiling context: the loop profile and
-        // fine intervals come from a single combined functional pass,
-        // the boundary pass runs once, and multi-level reuses the
-        // COASTS selection instead of recomputing it.
-        let mut ctx = ProfilingContext::new(&cb, self.coasts.projection, self.fine_interval);
+        // Phase 1. Truth passes are prepared here and run on the helper.
+        let truth_b = prepare_ground_truth(cache, &cb, config_b);
+        let (truth_b, sel) = beside(|| truth_b.run(), || self.select_plans(&cb));
+        let sel = sel?;
+
+        // Phase 2. Under Config A the truth comes from a *segmented*
+        // detailed pass sliced at the coarse interval boundaries: its
+        // per-segment statistics telescope exactly to the single-pass
+        // totals (same cost, same result) and additionally feed the
+        // accuracy attribution.
+        let lens: Vec<u64> = sel.coasts.intervals.iter().map(|iv| iv.len).collect();
+        let segments_a = prepare_ground_truth_segmented(cache, &cb, config_a, &lens);
+        let (segments_a, runs_a) = beside(|| segments_a.run(), || execute(config_a, &sel));
+
+        // Phase 3, alone: the peak-memory step.
+        let runs_b = execute(config_b, &sel);
+        Ok(assemble(spec, sel, &segments_a, truth_b, [runs_a, runs_b], t0.elapsed().as_secs_f64()))
+    }
+
+    /// Profile `cb` once and derive all three plans from the shared
+    /// context: the loop profile and fine intervals come from a single
+    /// combined functional pass, the boundary pass runs once, and
+    /// multi-level reuses the COASTS selection instead of recomputing it.
+    fn select_plans(&self, cb: &CompiledBenchmark) -> Result<Selection, String> {
+        let mut ctx = ProfilingContext::new(cb, self.coasts.projection, self.fine_interval);
         ctx.set_shards(self.shards);
         if let Some(cache) = &self.cache {
             ctx.set_cache(cache.clone());
         }
         ctx.prepare();
-        let fine: FineOutcome = simpoint_baseline_with(&mut ctx, &self.fine)?;
-        let co: CoastsOutcome = coasts_with(&mut ctx, &self.coasts)?;
-        let ml: MultilevelOutcome = multilevel_with(&mut ctx, &self.multilevel)?;
-
-        // Ground truths + estimates per config. Under Config A the
-        // truth comes from a *segmented* detailed pass sliced at the
-        // coarse interval boundaries: its per-segment statistics
-        // telescope exactly to the single-pass totals (same cost, same
-        // result) and additionally feed the accuracy attribution.
-        let zero =
-            MetricEstimate { cpi: 0.0, l1_hit_rate: 0.0, l2_hit_rate: 0.0, mispredict_rate: 0.0 };
-        let mut truths = [zero; 2];
-        let mut per_method: Vec<Vec<(MetricEstimate, MetricDeviation)>> = vec![Vec::new(); 3];
-        let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
-        let mut segments_a: Vec<SimMetrics> = Vec::new();
-        let mut coasts_outcome_a = None;
-        for (ci, config) in self.configs.iter().enumerate() {
-            let cache = self.cache.as_deref();
-            let truth = if ci == 0 {
-                segments_a = ground_truth_segmented_cached(cache, &cb, config, &lens);
-                let mut whole = SimMetrics::default();
-                for s in &segments_a {
-                    whole += *s;
-                }
-                whole.estimate()
-            } else {
-                ground_truth_cached(cache, &cb, config).estimate()
-            };
-            truths[ci] = truth;
-            for (mi, plan) in [&fine.plan, &co.plan, &ml.plan].into_iter().enumerate() {
-                let out = execute_plan_cached(cache, &cb, config, plan, self.warmup, 1);
-                let est = out.estimate;
-                if ci == 0 && mi == 1 {
-                    coasts_outcome_a = Some(out);
-                }
-                per_method[mi].push((est, est.deviation_from(&truth)));
-            }
-        }
-        let attribution = attribute_segments(
-            &spec.name,
-            &co,
-            &coasts_outcome_a.expect("COASTS ran under Config A"),
-            &segments_a,
-        );
-
-        let mk = |plan: &SimulationPlan, rows: &[(MetricEstimate, MetricDeviation)]| MethodResult {
-            plan: plan.clone(),
-            estimates: [rows[0].0, rows[1].0],
-            deviations: [rows[0].1, rows[1].1],
-            points: plan.len(),
-            mean_interval: plan.mean_point_len(),
-        };
-
-        Ok(BenchResult {
-            name: spec.name.clone(),
-            total_insts: fine.plan.total_insts(),
-            truths,
-            methods: [
-                mk(&fine.plan, &per_method[0]),
-                mk(&co.plan, &per_method[1]),
-                mk(&ml.plan, &per_method[2]),
-            ],
-            coarse_k: co.simpoints.k,
-            coarse_last_position: co.plan.last_position(),
-            fine_k: fine.simpoints.k,
-            attribution,
-            elapsed: t0.elapsed().as_secs_f64(),
-        })
+        let fine = simpoint_baseline_with(&mut ctx, &self.fine)?;
+        let coasts = coasts_with(&mut ctx, &self.coasts)?;
+        let multilevel = multilevel_with(&mut ctx, &self.multilevel)?;
+        Ok(Selection { fine, coasts, multilevel })
     }
 
     /// Run the whole suite, calling `progress` after each benchmark.
@@ -383,6 +361,80 @@ enum Outcome {
     Panic(String),
 }
 
+/// The three plans of one benchmark, with what selection learned.
+struct Selection {
+    fine: FineOutcome,
+    coasts: CoastsOutcome,
+    multilevel: MultilevelOutcome,
+}
+
+impl Selection {
+    /// The plans in [`Method::ALL`] order.
+    fn plans(&self) -> [&SimulationPlan; 3] {
+        [&self.fine.plan, &self.coasts.plan, &self.multilevel.plan]
+    }
+}
+
+/// Run `helper` on a second thread while `main` runs on this one, and
+/// return both results. The helper's spans nest under this thread's
+/// innermost span. A panic on either side resurfaces here with its
+/// original payload once both sides have stopped.
+fn beside<H: Send, M>(helper: impl FnOnce() -> H + Send, main: impl FnOnce() -> M) -> (H, M) {
+    let parent = mlpa_obs::span_parent();
+    std::thread::scope(|s| {
+        let lane = s.spawn(move || {
+            let _parent = mlpa_obs::adopt_parent(parent);
+            helper()
+        });
+        let m = main();
+        match lane.join() {
+            Ok(h) => (h, m),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
+/// Fold one benchmark's measurements into its [`BenchResult`]: truths
+/// (Config A's telescoped from its segments), estimates and deviations
+/// per method and config, and the COASTS/Config-A attribution.
+fn assemble(
+    spec: &BenchmarkSpec,
+    sel: Selection,
+    segments_a: &[SimMetrics],
+    truth_b: SimMetrics,
+    runs: [[ExecutionOutcome; 3]; 2],
+    elapsed: f64,
+) -> BenchResult {
+    let mut whole_a = SimMetrics::default();
+    for s in segments_a {
+        whole_a += *s;
+    }
+    let truths = [whole_a.estimate(), truth_b.estimate()];
+    let attribution = attribute_segments(&spec.name, &sel.coasts, &runs[0][1], segments_a);
+    let methods = std::array::from_fn(|mi| {
+        let plan = sel.plans()[mi];
+        let estimates = [runs[0][mi].estimate, runs[1][mi].estimate];
+        MethodResult {
+            plan: plan.clone(),
+            estimates,
+            deviations: [0, 1].map(|ci| estimates[ci].deviation_from(&truths[ci])),
+            points: plan.len(),
+            mean_interval: plan.mean_point_len(),
+        }
+    });
+    BenchResult {
+        name: spec.name.clone(),
+        total_insts: sel.fine.plan.total_insts(),
+        truths,
+        methods,
+        coarse_k: sel.coasts.simpoints.k,
+        coarse_last_position: sel.coasts.plan.last_position(),
+        fine_k: sel.fine.simpoints.k,
+        attribution,
+        elapsed,
+    }
+}
+
 /// Index of a method in [`BenchResult::methods`].
 pub fn method_index(m: Method) -> usize {
     match m {
@@ -515,18 +567,120 @@ mod tests {
         assert!(parallel_err.starts_with("bad:"), "{parallel_err}");
     }
 
-    /// Regression: a worker thread panicking mid-benchmark used to
-    /// resurface only at the scope join, with the raw payload and no
-    /// indication of which benchmark died. The pool must capture it and
-    /// re-panic with the benchmark's name attached.
+    /// The serial schedule the two lanes replace, composed from the
+    /// public single-threaded calls: selection, Config A's segmented
+    /// truth, Config B's truth, every plan under each config, then the
+    /// attribution. `elapsed` is zeroed.
+    fn serial_oracle(exp: &Experiment, spec: &BenchmarkSpec) -> BenchResult {
+        use mlpa_core::{execute_plan, ground_truth, ground_truth_segmented};
+        let cb = CompiledBenchmark::compile(spec).unwrap();
+        let mut ctx = ProfilingContext::new(&cb, exp.coasts.projection, exp.fine_interval);
+        ctx.prepare();
+        let fine = simpoint_baseline_with(&mut ctx, &exp.fine).unwrap();
+        let co = coasts_with(&mut ctx, &exp.coasts).unwrap();
+        let ml = multilevel_with(&mut ctx, &exp.multilevel).unwrap();
+        let plans = [&fine.plan, &co.plan, &ml.plan];
+
+        let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
+        let segments_a = ground_truth_segmented(&cb, &exp.configs[0], &lens);
+        let mut whole_a = SimMetrics::default();
+        for s in &segments_a {
+            whole_a += *s;
+        }
+        let truths = [whole_a.estimate(), ground_truth(&cb, &exp.configs[1]).estimate()];
+        let runs = exp.configs.map(|c| plans.map(|p| execute_plan(&cb, &c, p, exp.warmup)));
+        let attribution = attribute_segments(&spec.name, &co, &runs[0][1], &segments_a);
+        let methods = std::array::from_fn(|mi| {
+            let est = [runs[0][mi].estimate, runs[1][mi].estimate];
+            MethodResult {
+                plan: plans[mi].clone(),
+                estimates: est,
+                deviations: [est[0].deviation_from(&truths[0]), est[1].deviation_from(&truths[1])],
+                points: plans[mi].len(),
+                mean_interval: plans[mi].mean_point_len(),
+            }
+        });
+        BenchResult {
+            name: spec.name.clone(),
+            total_insts: fine.plan.total_insts(),
+            truths,
+            methods,
+            coarse_k: co.simpoints.k,
+            coarse_last_position: co.plan.last_position(),
+            fine_k: fine.simpoints.k,
+            attribution,
+            elapsed: 0.0,
+        }
+    }
+
+    /// `run_benchmark`'s lanes change only when work happens: every
+    /// result is byte-equal to the serial composition, without a cache
+    /// and with one (both the run that records it and the one that
+    /// reuses it).
     #[test]
-    #[should_panic(expected = "suite benchmark eon panicked")]
-    fn parallel_run_propagates_worker_panics_with_benchmark_name() {
-        let mut exp = tiny();
-        exp.jobs = 2;
-        // Width 0 passes compilation/selection but makes DetailedSim
-        // panic inside the worker ("invalid machine config").
-        exp.configs[0].width = 0;
-        let _ = exp.run(|_| {});
+    fn lanes_match_the_serial_oracle_with_and_without_cache() {
+        let root =
+            std::env::temp_dir().join(format!("mlpa-harness-oracle-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = std::sync::Arc::new(mlpa_core::ArtifactCache::open(&root).unwrap());
+        let cached = Experiment { cache: Some(cache), ..tiny() };
+        let exp = tiny();
+        for spec in &exp.suite {
+            let oracle = format!("{:?}", serial_oracle(&exp, spec));
+            for (what, e) in [("uncached", &exp), ("cold cache", &cached), ("warm cache", &cached)]
+            {
+                let got = BenchResult { elapsed: 0.0, ..e.run_benchmark(spec).unwrap() };
+                assert_eq!(format!("{got:?}"), oracle, "{} {what}", spec.name);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A panic on either lane resurfaces with its original payload,
+    /// not a generic join error, and only after both lanes stopped.
+    #[test]
+    fn lane_panics_keep_their_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(u32);
+        let finished = AtomicBool::new(false);
+        let helper = std::panic::catch_unwind(|| {
+            beside(|| std::panic::panic_any(Payload(7)), || finished.store(true, Ordering::Relaxed))
+        })
+        .expect_err("helper panic must propagate");
+        assert_eq!(helper.downcast_ref::<Payload>(), Some(&Payload(7)));
+        assert!(finished.load(Ordering::Relaxed), "the main lane ran to completion");
+
+        let main = std::panic::catch_unwind(|| {
+            beside(
+                || finished.store(false, Ordering::Relaxed),
+                || std::panic::panic_any(Payload(8)),
+            )
+        })
+        .expect_err("main panic must propagate");
+        assert_eq!(main.downcast_ref::<Payload>(), Some(&Payload(8)));
+        assert!(!finished.load(Ordering::Relaxed), "the helper lane ran to completion");
+    }
+
+    /// Width 0 passes compilation and selection but makes `DetailedSim`
+    /// panic ("invalid machine config") under either config. Serial
+    /// runs surface that message; pooled runs must capture the worker's
+    /// panic and re-raise it with the benchmark's name attached
+    /// (regression: it used to resurface only at the scope join, with
+    /// no indication of which benchmark died).
+    #[test]
+    fn invalid_config_panics_name_their_cause_under_every_schedule() {
+        for ci in [0, 1] {
+            for (jobs, expected) in
+                [(1, "invalid machine config"), (2, "suite benchmark eon panicked")]
+            {
+                let mut exp = Experiment { jobs, ..tiny() };
+                exp.configs[ci].width = 0;
+                let payload =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(|_| {})))
+                        .expect_err("width 0 must panic");
+                let msg = mlpa_core::panic_message(&*payload);
+                assert!(msg.contains(expected), "configs[{ci}] jobs={jobs}: {msg}");
+            }
+        }
     }
 }

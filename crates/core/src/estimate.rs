@@ -8,7 +8,13 @@
 //! regions of a deterministic trace, and warm microarchitectural state
 //! is defined as *functional warming of the whole prefix* — a property
 //! each worker can reconstruct on its own from the start of the trace.
+//!
+//! Ground truth ([`ground_truth`], [`ground_truth_segmented`]) is also
+//! available in two steps: [`prepare_ground_truth`] resolves the
+//! request on the calling thread (cache lookup, simulator allocation)
+//! and [`TruthTask::run`] executes it, on any thread.
 
+use crate::artifact::Artifact;
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::SimulationPlan;
 use mlpa_sim::functional::Warming;
@@ -183,7 +189,18 @@ fn execute_points_serial(
             let skip = p.start.saturating_sub(pos);
             pos += match &mut warm {
                 Some((hier, bu)) => {
-                    func.fast_forward(&mut stream, skip, &mut (), Warming::Warm, Some((hier, bu)))
+                    // Functional warming over the gap since the last
+                    // point: most of a warmed plan's time.
+                    let _span = mlpa_obs::span("core.plan.warm");
+                    let warmed = func.fast_forward(
+                        &mut stream,
+                        skip,
+                        &mut (),
+                        Warming::Warm,
+                        Some((hier, bu)),
+                    );
+                    mlpa_obs::add("core.plan.warm_insts", warmed);
+                    warmed
                 }
                 None => func.fast_forward(&mut stream, skip, &mut (), Warming::None, None),
             };
@@ -381,10 +398,7 @@ fn combine(plan: &SimulationPlan, runs: Vec<PointRun>) -> ExecutionOutcome {
 /// Simulate the entire benchmark in detail — the ground truth the
 /// paper's Table II deviations are measured against.
 pub fn ground_truth(cb: &CompiledBenchmark, config: &MachineConfig) -> SimMetrics {
-    let _span = mlpa_obs::span("core.truth.full");
-    mlpa_obs::add("core.truth.passes", 1);
-    let mut sim = DetailedSim::new(*config, cb.program());
-    sim.simulate(&mut WorkloadStream::new(cb), u64::MAX)
+    prepare_ground_truth(None, cb, config).run()
 }
 
 /// Ground truth measured in segments: one persistent-state detailed
@@ -405,20 +419,7 @@ pub fn ground_truth_segmented(
     config: &MachineConfig,
     lens: &[u64],
 ) -> Vec<SimMetrics> {
-    let _span = mlpa_obs::span("core.truth.segmented");
-    mlpa_obs::add("core.truth.passes", 1);
-    let mut sim = DetailedSim::new(*config, cb.program());
-    let mut stream = WorkloadStream::new(cb);
-    let mut pos = 0u64;
-    let mut target = 0u64;
-    lens.iter()
-        .map(|&len| {
-            target = target.saturating_add(len);
-            let m = sim.simulate(&mut stream, target.saturating_sub(pos));
-            pos += m.instructions;
-            m
-        })
-        .collect()
+    prepare_ground_truth_segmented(None, cb, config, lens).run()
 }
 
 /// [`ground_truth`] behind the artifact cache: reuse a stored result
@@ -429,17 +430,7 @@ pub fn ground_truth_cached(
     cb: &CompiledBenchmark,
     config: &MachineConfig,
 ) -> SimMetrics {
-    let key = cache.map(|_| CacheKey::new().field("spec", cb.spec()).field("config", config));
-    if let (Some(c), Some(k)) = (cache, &key) {
-        if let Some(m) = c.get::<SimMetrics>(k) {
-            return m;
-        }
-    }
-    let m = ground_truth(cb, config);
-    if let (Some(c), Some(k)) = (cache, &key) {
-        c.put(k, &m);
-    }
-    m
+    prepare_ground_truth(cache, cb, config).run()
 }
 
 /// [`ground_truth_segmented`] behind the artifact cache. The segment
@@ -451,19 +442,132 @@ pub fn ground_truth_segmented_cached(
     config: &MachineConfig,
     lens: &[u64],
 ) -> Vec<SimMetrics> {
+    prepare_ground_truth_segmented(cache, cb, config, lens).run()
+}
+
+/// Resolve a [`ground_truth_cached`] request on the calling thread:
+/// look the result up, and on a miss build the detailed pass that
+/// [`TruthTask::run`] will execute, possibly on another thread.
+///
+/// # Panics
+///
+/// Panics if `config` is invalid (see [`MachineConfig::validate`]) and
+/// the cache does not hold the result.
+pub fn prepare_ground_truth<'a>(
+    cache: Option<&'a ArtifactCache>,
+    cb: &'a CompiledBenchmark,
+    config: &MachineConfig,
+) -> TruthTask<'a, SimMetrics> {
+    let key = cache.map(|_| CacheKey::new().field("spec", cb.spec()).field("config", config));
+    // The whole trace is one segment with an unbounded target.
+    TruthTask::resolve(cache, key, cb, config, vec![u64::MAX], "core.truth.full", |mut segs| {
+        segs.pop().expect("one segment")
+    })
+}
+
+/// Resolve a [`ground_truth_segmented_cached`] request on the calling
+/// thread; see [`prepare_ground_truth`].
+///
+/// # Panics
+///
+/// Panics if `config` is invalid and the cache does not hold the
+/// result.
+pub fn prepare_ground_truth_segmented<'a>(
+    cache: Option<&'a ArtifactCache>,
+    cb: &'a CompiledBenchmark,
+    config: &MachineConfig,
+    lens: &[u64],
+) -> TruthTask<'a, Vec<SimMetrics>> {
     let key = cache.map(|_| {
         CacheKey::new().field("spec", cb.spec()).field("config", config).field("lens", &lens)
     });
-    if let (Some(c), Some(k)) = (cache, &key) {
-        if let Some(ms) = c.get::<Vec<SimMetrics>>(k) {
-            return ms;
+    TruthTask::resolve(cache, key, cb, config, lens.to_vec(), "core.truth.segmented", |segs| segs)
+}
+
+/// A ground-truth request resolved on the thread that made it: either
+/// the result the artifact cache already held, or a detailed pass that
+/// is built and ready to run.
+///
+/// The split lets a caller hand the expensive part to a helper thread
+/// while every large allocation stays its own. The simulator's cache
+/// arrays (about a megabyte for a 2 MB L2) are allocated when the task
+/// is prepared, so they come from — and are freed back to — the
+/// caller's malloc arena. glibc keeps a thread's own arena, so a pass
+/// built on the helper would leave that memory resident there, beside
+/// the caller's, once freed.
+pub struct TruthTask<'a, T> {
+    state: TruthState<'a, T>,
+}
+
+enum TruthState<'a, T> {
+    Stored(T),
+    Pass(Box<TruthPass<'a, T>>),
+}
+
+/// A built detailed pass: simulator and stream at the start of the
+/// trace, the segment lengths to slice its statistics at, and where to
+/// store the result.
+struct TruthPass<'a, T> {
+    sim: DetailedSim<'a>,
+    stream: WorkloadStream<'a>,
+    lens: Vec<u64>,
+    span: &'static str,
+    finish: fn(Vec<SimMetrics>) -> T,
+    store: Option<(&'a ArtifactCache, CacheKey)>,
+}
+
+impl<'a, T: Artifact> TruthTask<'a, T> {
+    fn resolve(
+        cache: Option<&'a ArtifactCache>,
+        key: Option<CacheKey>,
+        cb: &'a CompiledBenchmark,
+        config: &MachineConfig,
+        lens: Vec<u64>,
+        span: &'static str,
+        finish: fn(Vec<SimMetrics>) -> T,
+    ) -> TruthTask<'a, T> {
+        let store = cache.zip(key);
+        if let Some((c, k)) = &store {
+            if let Some(stored) = c.get::<T>(k) {
+                return TruthTask { state: TruthState::Stored(stored) };
+            }
+        }
+        let sim = DetailedSim::new(*config, cb.program());
+        let stream = WorkloadStream::new(cb);
+        let pass = TruthPass { sim, stream, lens, span, finish, store };
+        TruthTask { state: TruthState::Pass(Box::new(pass)) }
+    }
+
+    /// The result: the stored one, or the pass's (then stored).
+    pub fn run(self) -> T {
+        match self.state {
+            TruthState::Stored(stored) => stored,
+            TruthState::Pass(pass) => pass.run(),
         }
     }
-    let ms = ground_truth_segmented(cb, config, lens);
-    if let (Some(c), Some(k)) = (cache, &key) {
-        c.put(k, &ms);
+}
+
+impl<T: Artifact> TruthPass<'_, T> {
+    fn run(mut self: Box<Self>) -> T {
+        let result = {
+            let _span = mlpa_obs::span(self.span);
+            mlpa_obs::add("core.truth.passes", 1);
+            let mut pos = 0u64;
+            let mut target = 0u64;
+            let mut segments = Vec::with_capacity(self.lens.len());
+            for &len in &self.lens {
+                target = target.saturating_add(len);
+                let m = self.sim.simulate(&mut self.stream, target.saturating_sub(pos));
+                pos += m.instructions;
+                segments.push(m);
+            }
+            (self.finish)(segments)
+        };
+        if let Some((c, k)) = &self.store {
+            c.put(k, &result);
+        }
+        result
     }
-    ms
 }
 
 /// [`execute_plan_jobs`] behind the artifact cache. The key covers the

@@ -59,7 +59,8 @@ pub use coasts::{coasts, coasts_with, CoastsConfig, CoastsOutcome};
 pub use estimate::{
     effective_jobs, execute_plan, execute_plan_cached, execute_plan_checked, execute_plan_jobs,
     ground_truth, ground_truth_cached, ground_truth_segmented, ground_truth_segmented_cached,
-    panic_message, ExecutionCost, ExecutionOutcome, WarmupMode,
+    panic_message, prepare_ground_truth, prepare_ground_truth_segmented, ExecutionCost,
+    ExecutionOutcome, TruthTask, WarmupMode,
 };
 pub use multilevel::{multilevel, multilevel_with, MultilevelConfig, MultilevelOutcome};
 pub use pipeline::{

@@ -4,7 +4,9 @@
 //!
 //! * **Spans** — hierarchical wall-clock timings ([`span`],
 //!   [`span_labeled`]). Parent/child links follow the per-thread span
-//!   stack, so nesting works across `std::thread::scope` workers.
+//!   stack, so nesting works across `std::thread::scope` workers; a
+//!   helper thread that should nest under its caller's span seeds its
+//!   stack with [`adopt_parent`]`(`[`span_parent`]`())`.
 //! * **Counters** — named monotonic totals ([`add`]) backed by leaked
 //!   `AtomicU64`s; hot loops should accumulate locally and flush once
 //!   per call.
@@ -991,8 +993,8 @@ mod imp {
     /// The self-profile call-tree edges observed so far: one row per
     /// (span name, parent span name) pair with its call count and total
     /// wall seconds. Roots (spans opened with an empty per-thread span
-    /// stack — including every span opened on a scoped worker thread)
-    /// have `parent == None`.
+    /// stack — including the outermost span of a scoped worker thread
+    /// that did not [`adopt_parent`]) have `parent == None`.
     pub fn span_edges_snapshot() -> Vec<crate::selfprofile::RawEdge> {
         SPAN_EDGES
             .lock()
@@ -1110,6 +1112,46 @@ mod imp {
             return Span { inner: None };
         }
         open_span(name, Some(label.to_string()))
+    }
+
+    /// The innermost open span of the thread that called
+    /// [`span_parent`], as a handle another thread can adopt.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct SpanParent(Option<(u64, &'static str)>);
+
+    /// Capture this thread's innermost open span (none when collection
+    /// is off or no span is open).
+    pub fn span_parent() -> SpanParent {
+        if !is_enabled() {
+            return SpanParent(None);
+        }
+        SpanParent(SPAN_STACK.with(|s| s.borrow().last().copied()))
+    }
+
+    /// Guard returned by [`adopt_parent`]; unseeds the stack on drop.
+    #[must_use]
+    pub struct AdoptedParent(Option<u64>);
+
+    /// Seed this thread's span stack with `parent` (from [`span_parent`]
+    /// on another thread), so the spans opened here until the guard
+    /// drops nest under it instead of becoming roots. The parent span
+    /// itself stays owned, timed and closed by its own thread.
+    pub fn adopt_parent(parent: SpanParent) -> AdoptedParent {
+        let Some(entry) = parent.0 else { return AdoptedParent(None) };
+        SPAN_STACK.with(|s| s.borrow_mut().push(entry));
+        AdoptedParent(Some(entry.0))
+    }
+
+    impl Drop for AdoptedParent {
+        fn drop(&mut self) {
+            let Some(id) = self.0 else { return };
+            SPAN_STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                if stack.last().map(|&(top, _)| top) == Some(id) {
+                    stack.pop();
+                }
+            });
+        }
     }
 
     /// Per-worker utilization guard returned by [`worker`].
@@ -1481,6 +1523,26 @@ mod imp {
         Span(())
     }
 
+    /// Zero-sized stand-in for the live parent handle.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct SpanParent(());
+
+    /// No-op: the `enabled` feature is compiled out.
+    #[inline(always)]
+    pub fn span_parent() -> SpanParent {
+        SpanParent(())
+    }
+
+    /// Zero-sized stand-in for the live adoption guard.
+    #[must_use]
+    pub struct AdoptedParent(());
+
+    /// No-op: the `enabled` feature is compiled out.
+    #[inline(always)]
+    pub fn adopt_parent(_parent: SpanParent) -> AdoptedParent {
+        AdoptedParent(())
+    }
+
     /// Zero-sized stand-in for the live worker guard.
     #[must_use]
     pub struct Worker(());
@@ -1521,10 +1583,11 @@ mod imp {
 }
 
 pub use imp::{
-    add, counter_value, counters_snapshot, emit_counters_snapshot, finish, gauge_add, gauge_set,
-    gauge_value, gauges_snapshot, hist_buckets_snapshot, hist_merge, hist_record,
+    add, adopt_parent, counter_value, counters_snapshot, emit_counters_snapshot, finish, gauge_add,
+    gauge_set, gauge_value, gauges_snapshot, hist_buckets_snapshot, hist_merge, hist_record,
     histograms_snapshot, init, is_enabled, pool_live_snapshot, report, reset_for_tests,
-    set_enabled, span, span_edges_snapshot, span_labeled, worker, HistTally, Span, Worker,
+    set_enabled, span, span_edges_snapshot, span_labeled, span_parent, worker, AdoptedParent,
+    HistTally, Span, SpanParent, Worker,
 };
 
 #[cfg(test)]

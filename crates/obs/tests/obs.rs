@@ -101,6 +101,63 @@ fn spans_nest_across_thread_scope_workers() {
     std::fs::remove_file(&sink).ok();
 }
 
+/// A helper thread that adopts its caller's innermost span nests its
+/// spans under it — in the sink (parent id) and in the self-profile
+/// edges (parent name) — and the adoption ends with its guard.
+#[test]
+fn adopted_parent_nests_helper_thread_spans_under_the_caller() {
+    let _g = lock();
+    let sink = scratch("adopt.jsonl");
+    mlpa_obs::init(&mlpa_obs::ObsConfig {
+        enabled: true,
+        sink: Some(sink.clone()),
+        sample_ms: None,
+    })
+    .expect("init");
+
+    let caller = mlpa_obs::span("test.caller");
+    let caller_id = caller.id();
+    let parent = mlpa_obs::span_parent();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            {
+                let _adopted = mlpa_obs::adopt_parent(parent);
+                let _lane = mlpa_obs::span("test.lane");
+                let _leaf = mlpa_obs::span("test.leaf");
+            }
+            // Past the guard the helper's stack is empty again.
+            let _after = mlpa_obs::span("test.after");
+        });
+    });
+    drop(caller);
+    mlpa_obs::finish();
+
+    let events = parse_lines(&sink);
+    let span_of = |name: &str| {
+        events
+            .iter()
+            .find(|ev| {
+                ev.get("ev").and_then(Value::as_str) == Some("span")
+                    && ev.get("name").and_then(Value::as_str) == Some(name)
+            })
+            .unwrap_or_else(|| panic!("no {name} span"))
+    };
+    let lane = span_of("test.lane");
+    assert_eq!(lane.get("parent").and_then(Value::as_f64), Some(caller_id as f64));
+    let lane_id = lane.get("id").and_then(Value::as_f64);
+    assert_eq!(span_of("test.leaf").get("parent").and_then(Value::as_f64), lane_id);
+    assert_eq!(span_of("test.after").get("parent"), Some(&Value::Null));
+
+    let edges = mlpa_obs::span_edges_snapshot();
+    let parent_of =
+        |name: &str| edges.iter().find(|e| e.name == name).map(|e| e.parent.clone()).expect("edge");
+    assert_eq!(parent_of("test.lane").as_deref(), Some("test.caller"));
+    assert_eq!(parent_of("test.leaf").as_deref(), Some("test.lane"));
+    assert_eq!(parent_of("test.after"), None);
+    assert_eq!(parent_of("test.caller"), None);
+    std::fs::remove_file(&sink).ok();
+}
+
 #[test]
 fn counters_are_atomic_under_contention() {
     let _g = lock();
