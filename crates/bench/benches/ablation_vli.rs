@@ -7,7 +7,7 @@
 //! coarse sampler using the same Kmax and earliest-instance selection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlpa_core::pipeline::{plan_from_points, profile_fixed};
+use mlpa_core::pipeline::plan_from_points;
 use mlpa_core::prelude::*;
 use mlpa_phase::simpoint::select;
 use mlpa_sim::MachineConfig;
@@ -35,10 +35,10 @@ fn bench_ablation_vli(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_vli");
     group.sample_size(10);
     group.bench_function("fixed_coarse_facerec", |b| {
-        let proj = ProjectionSettings::default().build(&cb);
         b.iter(|| {
-            let ivs = profile_fixed(black_box(&cb), mean_iter, &proj);
-            select(&ivs, &SimPointConfig::coasts())
+            let mut ctx =
+                ProfilingContext::new(black_box(&cb), ProjectionSettings::default(), mean_iter);
+            select(ctx.fine_intervals(), &SimPointConfig::coasts())
         });
     });
     group.finish();
@@ -64,9 +64,8 @@ fn bench_ablation_vli(c: &mut Criterion) {
 
     for frac in [0.5f64, 1.0, 2.0] {
         let len = ((mean_iter as f64 * frac) as u64).max(10_000);
-        let proj = ProjectionSettings::default().build(&cb);
-        let ivs = profile_fixed(&cb, len, &proj);
-        let sp = select(&ivs, &SimPointConfig::coasts());
+        let mut ctx = ProfilingContext::new(&cb, ProjectionSettings::default(), len);
+        let sp = select(ctx.fine_intervals(), &SimPointConfig::coasts());
         let plan = plan_from_points(&sp).expect("valid plan");
         let est = execute_plan(&cb, &config, &plan, WarmupMode::Warmed).estimate;
         let dev = est.deviation_from(&truth);

@@ -139,34 +139,42 @@ fn bench_substrate(c: &mut Criterion) -> f64 {
     ab_detailed
 }
 
-/// The streaming profiling pass: `ProfilingContext::prepare` monolithic
-/// versus segment-sharded under the chained driver (one metadata walk,
-/// no instruction materialisation, O(1)-per-block shard profilers).
-/// The two must merge bit-identically before their cost is compared —
-/// the speedup this group derives is the paper-scale profiling win the
-/// perf baseline tracks.
+/// The streaming profiling pass: the combined segment walk of
+/// `ProfilingContext::prepare` (one metadata walk, no instruction
+/// materialisation, O(1)-per-block shard profilers; eight segments)
+/// against the unsegmented reference observers under the functional
+/// simulator, the walk it replaced. The two must agree bit-for-bit
+/// before their cost is compared — the speedup this group derives is
+/// the profiling win the perf baseline tracks.
 fn bench_streaming(c: &mut Criterion) {
-    use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, ShardDriver, FINE_INTERVAL};
+    use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, FINE_INTERVAL};
     let spec = suite::benchmark_with_iters("eon", 1).expect("eon").scaled(0.25);
     let cb = CompiledBenchmark::compile(&spec).expect("compiles");
     let trace_len = drain_count(WorkloadStream::new(&cb)).instructions;
-    let run = |shards: usize| {
+    let sharded = |shards: usize| {
         let mut ctx = ProfilingContext::new(&cb, ProjectionSettings::default(), FINE_INTERVAL);
         ctx.set_shards(shards);
-        ctx.set_shard_driver(ShardDriver::Chained);
         ctx.prepare();
         (ctx.loop_profile().clone(), ctx.fine_intervals().to_vec())
     };
-    assert_eq!(run(8), run(1), "sharded prepare diverged from the monolithic pass");
+    let proj = ProjectionSettings::default().build(&cb);
+    let oracle = || {
+        let mut monitor = reference::LoopMonitor::new(cb.program());
+        let mut prof = FixedLengthProfiler::new(&proj, FINE_INTERVAL);
+        FunctionalSim::new(cb.program())
+            .run(WorkloadStream::new(&cb), &mut (&mut monitor, &mut prof));
+        (monitor.finish(), prof.finish())
+    };
+    assert_eq!(sharded(8), oracle(), "the segment walk diverged from the oracle walk");
 
     let mut group = c.benchmark_group("streaming");
     group.sample_size(10);
     group.throughput(Throughput::Elements(trace_len));
     group.bench_function("prepare_sharded8", |b| {
-        b.iter(|| run(black_box(8)));
+        b.iter(|| sharded(black_box(8)));
     });
     group.bench_function("prepare_monolithic", |b| {
-        b.iter(|| run(black_box(1)));
+        b.iter(oracle);
     });
     group.finish();
 }

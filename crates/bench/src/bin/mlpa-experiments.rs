@@ -23,10 +23,9 @@
 //!   --jobs N          benchmarks in flight; each uses up to two lanes
 //!                     (default 0 = one per core); results are
 //!                     bit-identical for every N
-//!   --shards N        trace segments per profiling pass (default 1 =
-//!                     monolithic); shards profile concurrently without
-//!                     materialising the prefix, and their merge is
-//!                     bit-identical to the monolithic pass for every N
+//!   --shards N        trace segments per profiling pass (default 1),
+//!                     used as checkpoint granularity for --cache
+//!                     --resume; results are bit-identical for every N
 //!   --ratio R         cost-model ratio c_d/c_f (default: paper 32.5)
 //!   --measured-ratio  also report speedups at the measured ratio
 //!   --out DIR         output directory (default: results)

@@ -36,16 +36,18 @@ pub struct Fig1Data {
 /// Propagates compilation/selection errors.
 pub fn fig1(spec: &BenchmarkSpec) -> Result<Fig1Data, String> {
     let cb = CompiledBenchmark::compile(spec)?;
-    let proj = ProjectionSettings::default();
+    let coasts_cfg = CoastsConfig::default();
+    let mut ctx = ProfilingContext::new(&cb, coasts_cfg.projection, FINE_INTERVAL);
 
     // Fine curve + SimPoint marks.
-    let fine_out = simpoint_baseline(&cb, FINE_INTERVAL, &SimPointConfig::fine_10m(), &proj)?;
-    let fine_ivs = mlpa_core::pipeline::profile_fixed(&cb, FINE_INTERVAL, &proj.build(&cb));
-    let fine =
-        curve(&fine_ivs, &fine_out.simpoints.points.iter().map(|p| p.interval).collect::<Vec<_>>());
+    let fine_out = simpoint_baseline_with(&mut ctx, &SimPointConfig::fine_10m())?;
+    let fine = curve(
+        ctx.fine_intervals(),
+        &fine_out.simpoints.points.iter().map(|p| p.interval).collect::<Vec<_>>(),
+    );
 
     // Coarse curve + COASTS marks.
-    let co = coasts(&cb, &CoastsConfig::default())?;
+    let co = coasts_with(&mut ctx, &coasts_cfg)?;
     let marks: Vec<usize> = co
         .plan
         .points()

@@ -100,11 +100,11 @@ pub struct Experiment {
     /// (the default), `0` = one per available core, `n` = a pool of
     /// `n`. Results are bit-identical for every value.
     pub jobs: usize,
-    /// Trace segments per profiling pass (1 = monolithic). Each shard
-    /// fast-forwards to its segment without materialising instructions
-    /// and profiles only its slice; the merge is bit-identical to the
-    /// monolithic pass, so this is purely a wall-clock/streaming knob
-    /// for paper-scale traces.
+    /// Trace segments per profiling pass (default 1), used as checkpoint
+    /// granularity for `--cache --resume`: with a cache, every finished
+    /// segment of a multi-segment walk is stored, so a killed run
+    /// resumes at the first missing one. Results are bit-identical for
+    /// every count.
     pub shards: usize,
     /// Optional artifact cache: profiling passes, selections, ground
     /// truths, and plan executions consult and populate it, so a

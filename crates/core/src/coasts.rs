@@ -101,7 +101,7 @@ pub fn coasts(cb: &CompiledBenchmark, cfg: &CoastsConfig) -> Result<CoastsOutcom
 /// streams the trace once per *kind* of information rather than once
 /// per method. The context's projection is used for the signatures
 /// (its settings come from the same [`CoastsConfig::projection`] in
-/// every in-repo caller).
+/// every in-repo caller), and it is part of the cached outcome's key.
 ///
 /// # Errors
 ///
@@ -113,7 +113,14 @@ pub fn coasts_with(
     let _span = mlpa_obs::span("core.select.coasts");
     let cb = ctx.benchmark();
     let cache = ctx.cache();
-    let key = cache.as_ref().map(|_| CacheKey::new().field("spec", cb.spec()).field("coasts", cfg));
+    // The signatures come from the context's projection, so its
+    // settings are part of the outcome's identity.
+    let key = cache.as_ref().map(|_| {
+        CacheKey::new()
+            .field("spec", cb.spec())
+            .field("projection", &ctx.settings())
+            .field("coasts", cfg)
+    });
     if let (Some(c), Some(k)) = (&cache, &key) {
         if let Some(out) = c.get::<CoastsOutcome>(k) {
             return Ok(out);

@@ -65,7 +65,7 @@ pub use estimate::{
 pub use multilevel::{multilevel, multilevel_with, MultilevelConfig, MultilevelOutcome};
 pub use pipeline::{
     plan_from_points, simpoint_baseline, simpoint_baseline_with, trace_insts, FineOutcome,
-    ProfilingContext, ProjectionSettings, ShardDriver, FINE_INTERVAL, RESAMPLE_THRESHOLD,
+    ProfilingContext, ProjectionSettings, FINE_INTERVAL, RESAMPLE_THRESHOLD,
 };
 pub use plan::{PlanPoint, SimulationPlan};
 pub use timing::CostModel;
@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::multilevel::{multilevel, multilevel_with, MultilevelConfig};
     pub use crate::pipeline::{
         simpoint_baseline, simpoint_baseline_with, ProfilingContext, ProjectionSettings,
-        ShardDriver, FINE_INTERVAL, RESAMPLE_THRESHOLD,
+        FINE_INTERVAL, RESAMPLE_THRESHOLD,
     };
     pub use crate::plan::SimulationPlan;
     pub use crate::stats::{geometric_mean, mean, worst};

@@ -13,10 +13,10 @@ use crate::cache::CacheKey;
 use crate::coasts::{coasts_with, CoastsConfig, CoastsOutcome};
 use crate::pipeline::{ProfilingContext, FINE_INTERVAL, RESAMPLE_THRESHOLD};
 use crate::plan::{PlanPoint, SimulationPlan};
-use mlpa_phase::interval::FixedLengthProfiler;
+use mlpa_isa::stream::InstructionStream;
+use mlpa_phase::interval::{FixedLengthProfiler, Interval};
+use mlpa_phase::project::RandomProjection;
 use mlpa_phase::simpoint::{select, SimPointConfig, SimPoints};
-use mlpa_sim::functional::Warming;
-use mlpa_sim::FunctionalSim;
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
 
 /// Multi-level sampling parameters.
@@ -109,9 +109,14 @@ pub fn multilevel_with(
     cfg: &MultilevelConfig,
 ) -> Result<MultilevelOutcome, String> {
     let cache = ctx.cache();
-    let key = cache
-        .as_ref()
-        .map(|_| CacheKey::new().field("spec", ctx.benchmark().spec()).field("multilevel", cfg));
+    // The signatures come from the context's projection, so its
+    // settings are part of the outcome's identity.
+    let key = cache.as_ref().map(|_| {
+        CacheKey::new()
+            .field("spec", ctx.benchmark().spec())
+            .field("projection", &ctx.settings())
+            .field("multilevel", cfg)
+    });
     if let (Some(c), Some(k)) = (&cache, &key) {
         if let Some(out) = c.get::<MultilevelOutcome>(k) {
             return Ok(out);
@@ -119,32 +124,25 @@ pub fn multilevel_with(
     }
     let first = coasts_with(ctx, &cfg.coasts)?;
     let _span = mlpa_obs::span("core.select.multilevel");
-    let cb = ctx.benchmark();
-    let projection = ctx.projection();
-
     let mut points: Vec<PlanPoint> = Vec::new();
     let mut resampled = Vec::new();
 
-    // One shared pass: coarse points are sorted, so fast-forward and
-    // profile each window in trace order.
-    let mut stream = WorkloadStream::new(cb);
-    let mut func = FunctionalSim::new(cb.program());
-    let mut pos = 0u64;
+    let windows: Vec<(u64, u64)> = first
+        .plan
+        .points()
+        .iter()
+        .filter(|cp| cp.len > cfg.threshold)
+        .map(|cp| (cp.start, cp.len))
+        .collect();
+    let mut profiled =
+        profile_windows(ctx.benchmark(), ctx.projection(), cfg.fine_interval, &windows).into_iter();
 
     for cp in first.plan.points() {
         if cp.len <= cfg.threshold {
             points.push(*cp);
             continue;
         }
-        // Fast-forward to the coarse point.
-        let skip = cp.start.saturating_sub(pos);
-        pos += func.fast_forward(&mut stream, skip, &mut (), Warming::None, None);
-        // Profile fine intervals inside the window. A profiler holds
-        // O(dim) state (it accumulates in projected space), so one per
-        // coarse window is cheap even when num_blocks is large.
-        let mut prof = FixedLengthProfiler::new(projection, cfg.fine_interval);
-        pos += func.fast_forward(&mut stream, cp.len, &mut prof, Warming::None, None);
-        let intervals = prof.finish();
+        let intervals = profiled.next().expect("one profile per window");
         if intervals.is_empty() {
             points.push(*cp);
             continue;
@@ -180,6 +178,41 @@ pub fn multilevel_with(
         c.put(k, &out);
     }
     Ok(out)
+}
+
+/// Profile fine intervals inside each `(start, len)` window in one
+/// metadata walk over the trace (no instruction is materialised).
+/// Windows must be sorted and disjoint. Cuts are block-granular: the
+/// skip to a window and the window itself each end at the first block
+/// boundary at or past their target, and a window running past the
+/// trace end comes back short, or empty. A profiler holds O(dim) state
+/// (it accumulates in projected space), so one per window is cheap even
+/// when `num_blocks` is large.
+fn profile_windows(
+    cb: &CompiledBenchmark,
+    projection: &RandomProjection,
+    fine_interval: u64,
+    windows: &[(u64, u64)],
+) -> Vec<Vec<Interval>> {
+    let mut stream = WorkloadStream::new(cb);
+    let mut scratch = Vec::new();
+    let mut pos = 0u64;
+    let mut out = Vec::with_capacity(windows.len());
+    for &(start, len) in windows {
+        while pos < start {
+            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
+            pos += m.insts;
+        }
+        let mut prof = FixedLengthProfiler::new(projection, fine_interval);
+        let end = pos + len;
+        while pos < end {
+            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
+            prof.record(m.id, m.insts);
+            pos += m.insts;
+        }
+        out.push(prof.finish());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -348,6 +381,41 @@ mod tests {
         let sum: f64 = out.plan.points().iter().map(|p| p.weight).sum();
         assert!((sum - 1.0).abs() < 1e-6, "weights sum to {sum}");
         assert!(out.plan.detailed_insts() <= out.coasts.plan.detailed_insts());
+    }
+
+    /// The window walk reproduces the code it replaced: the functional
+    /// simulator fast-forwarding to each window and running a
+    /// `FixedLengthProfiler` across it — on windows at the trace start,
+    /// mid-trace, running past the trace end, and wholly beyond it.
+    #[test]
+    fn window_walk_matches_functional_fast_forward() {
+        use mlpa_sim::functional::Warming;
+        use mlpa_sim::FunctionalSim;
+        let cb = big_iteration_cb();
+        let proj = crate::pipeline::ProjectionSettings::default().build(&cb);
+        let total = crate::pipeline::trace_insts(&cb);
+        let windows =
+            [(0, 25_000), (total / 2 - 3_333, 123_457), (total - 40_000, 1_000_000), (total, 9)];
+        let mut stream = WorkloadStream::new(&cb);
+        let mut func = FunctionalSim::new(cb.program());
+        let mut pos = 0;
+        let expect: Vec<Vec<Interval>> = windows
+            .iter()
+            .map(|&(start, len)| {
+                let skip = start.saturating_sub(pos);
+                pos += func.fast_forward(&mut stream, skip, &mut (), Warming::None, None);
+                let mut prof = FixedLengthProfiler::new(&proj, 7_000);
+                pos += func.fast_forward(&mut stream, len, &mut prof, Warming::None, None);
+                prof.finish()
+            })
+            .collect();
+        let got = profile_windows(&cb, &proj, 7_000, &windows);
+        assert_eq!(got, expect);
+        assert!(got[..3].iter().all(|w| !w.is_empty()), "the first three windows hold blocks");
+        let covered = |w: &[Interval]| w.iter().map(|iv| iv.len).sum::<u64>();
+        assert!(covered(&got[0]) >= 25_000 && covered(&got[1]) >= 123_457);
+        assert!(covered(&got[2]) <= 40_000, "the trace end cuts the third window short");
+        assert!(got[3].is_empty(), "a window beyond the trace end is empty");
     }
 
     /// Regression: a re-sampled window holding *exactly two* fine

@@ -3,19 +3,19 @@
 
 use std::sync::Arc;
 
-use crate::artifact::{BoundaryArtifact, BoundaryShardArtifact, ProfileShardArtifact};
+use crate::artifact::{Artifact, BoundaryArtifact, BoundaryShardArtifact, ProfileShardArtifact};
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::{PlanPoint, SimulationPlan};
 use mlpa_isa::stream::InstructionStream;
-use mlpa_phase::interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
-use mlpa_phase::loops::{LoopMonitor, LoopProfile};
+use mlpa_isa::BlockId;
+use mlpa_phase::interval::Interval;
+use mlpa_phase::loops::LoopProfile;
 use mlpa_phase::project::RandomProjection;
 use mlpa_phase::shard::{
     merge_boundary, merge_fine, merge_loops, BoundaryTracker, FineCutTracker, LoopStackTracker,
     ShardBoundaryProfiler, ShardFineProfiler, ShardLoopMonitor,
 };
 use mlpa_phase::simpoint::{select, SimPointConfig, SimPoints};
-use mlpa_sim::FunctionalSim;
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
 
 /// The scaled fine-grained interval length: the paper's 10 M
@@ -48,68 +48,106 @@ impl ProjectionSettings {
     }
 }
 
-/// How a sharded profiling pass schedules its segments.
-///
-/// Both drivers produce bit-identical artifacts and merges; they differ
-/// only in wall-clock shape:
-///
-/// * [`ShardDriver::Chained`] streams the trace **once** on the calling
-///   thread, handing consecutive segments to freshly seeded shard
-///   profilers — no prefix replay, so total work is one metadata walk
-///   plus the (cheap, O(1)-per-block) shard profilers.
-/// * [`ShardDriver::Threaded`] runs every segment on its own scoped
-///   thread; each worker fast-forwards through its prefix with the
-///   metadata walk and profiles only its slice. Wall-clock is the
-///   longest single shard (≈ one metadata walk for the last segment),
-///   with the profiling work and any cache hits overlapped across
-///   cores.
-/// * [`ShardDriver::Auto`] (the default) picks `Threaded` when the
-///   machine reports more than one available core, `Chained` otherwise
-///   — on a single core prefix replay costs ~`shards/2` extra walks
-///   for nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardDriver {
-    /// Decide from `std::thread::available_parallelism()`.
-    #[default]
-    Auto,
-    /// Single-threaded, single-pass segment chaining.
-    Chained,
-    /// One scoped worker thread per segment with prefix fast-forward.
-    Threaded,
-}
-
-impl ShardDriver {
-    /// Resolve `Auto` against the machine's available parallelism.
-    fn threaded(self) -> bool {
-        match self {
-            ShardDriver::Chained => false,
-            ShardDriver::Threaded => true,
-            ShardDriver::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()) > 1,
-        }
-    }
-}
-
 /// Cached products of one boundary-profiling pass.
 #[derive(Debug, Clone)]
 struct BoundaryPass {
-    header: mlpa_isa::BlockId,
+    header: BlockId,
     has_prologue: bool,
     intervals: Vec<Interval>,
 }
 
+/// One profiling product's trace walk, cut into segments: O(1)-per-block
+/// trackers carry the walk's state across every segment boundary, and
+/// each segment that is profiled (not restored from a checkpoint) gets
+/// shard profilers seeded from them.
+trait SegmentWalk {
+    /// What one segment produces; also its checkpoint.
+    type Shard: Artifact;
+    /// Advance the trackers over one block.
+    fn track(&mut self, id: BlockId, insts: u64);
+    /// Seed this segment's shard profilers at the current position.
+    fn begin(&mut self);
+    /// Feed one block to the shard profilers (not the trackers).
+    fn record(&mut self, id: BlockId, insts: u64);
+    /// Close the segment's shard profilers.
+    fn end(&mut self) -> Self::Shard;
+}
+
+/// The combined walk: loop profile and fine intervals together.
+struct BaseWalk<'a> {
+    projection: &'a RandomProjection,
+    fine_interval: u64,
+    fine_t: FineCutTracker,
+    loop_t: LoopStackTracker<'a>,
+    shard: Option<(ShardFineProfiler<'a>, ShardLoopMonitor<'a>)>,
+}
+
+impl SegmentWalk for BaseWalk<'_> {
+    type Shard = ProfileShardArtifact;
+
+    fn track(&mut self, id: BlockId, insts: u64) {
+        self.fine_t.record(insts);
+        self.loop_t.record(id);
+    }
+
+    fn begin(&mut self) {
+        self.shard = Some((
+            ShardFineProfiler::new(self.projection, self.fine_interval, &self.fine_t),
+            ShardLoopMonitor::new(self.loop_t.clone()),
+        ));
+    }
+
+    fn record(&mut self, id: BlockId, insts: u64) {
+        let (fine, loops) = self.shard.as_mut().expect("segment begun");
+        fine.record(id, insts);
+        loops.record(id, insts);
+    }
+
+    fn end(&mut self) -> ProfileShardArtifact {
+        let (fine, loops) = self.shard.take().expect("segment begun");
+        ProfileShardArtifact { pieces: fine.finish(), loops: loops.finish() }
+    }
+}
+
+/// The boundary walk: intervals cut at entries of one header block.
+struct BoundaryWalk<'a> {
+    projection: &'a RandomProjection,
+    tracker: BoundaryTracker,
+    shard: Option<ShardBoundaryProfiler<'a>>,
+}
+
+impl SegmentWalk for BoundaryWalk<'_> {
+    type Shard = BoundaryShardArtifact;
+
+    fn track(&mut self, id: BlockId, insts: u64) {
+        self.tracker.record(id, insts);
+    }
+
+    fn begin(&mut self) {
+        self.shard = Some(ShardBoundaryProfiler::new(self.projection, &self.tracker));
+    }
+
+    fn record(&mut self, id: BlockId, insts: u64) {
+        self.shard.as_mut().expect("segment begun").record(id, insts);
+    }
+
+    fn end(&mut self) -> BoundaryShardArtifact {
+        let (pieces, first_header_pos) = self.shard.take().expect("segment begun").finish();
+        BoundaryShardArtifact { pieces, first_header_pos }
+    }
+}
+
 /// Shared profiling context: one projection and a cache of every
-/// whole-trace functional pass over a benchmark, so the three sampling
+/// whole-trace profiling walk over a benchmark, so the three sampling
 /// stages (fine baseline, COASTS, multi-level) stop re-streaming the
 /// trace for information an earlier stage already collected.
 ///
-/// The experiment harness previously ran **five** full functional
-/// passes per benchmark: fine-interval profiling, COASTS's loop pass,
-/// COASTS's boundary pass, and then both COASTS passes *again* inside
-/// `multilevel`. With a context, [`ProfilingContext::prepare`] collects
-/// the loop profile and the fine intervals in a single combined pass
-/// (observers compose, so both profilers ride the same stream
-/// traversal), the boundary pass runs once, and every stage reuses the
-/// results — two full passes total.
+/// Two walks cover every stage: the combined walk collects the loop
+/// profile and the fine intervals together, whichever of
+/// [`ProfilingContext::prepare`], [`ProfilingContext::loop_profile`] or
+/// [`ProfilingContext::fine_intervals`] asks first, and the boundary
+/// walk runs once per header. Both are metadata walks over the stream
+/// (no instruction is materialised) feeding O(1)-per-block profilers.
 ///
 /// # Example
 ///
@@ -135,10 +173,8 @@ pub struct ProfilingContext<'b> {
     fine_intervals: Option<Vec<Interval>>,
     boundary: Option<BoundaryPass>,
     cache: Option<Arc<ArtifactCache>>,
-    /// Segment shards for the profiling passes (1 = monolithic).
+    /// Trace segments per profiling walk.
     shards: usize,
-    /// How sharded passes schedule their segments.
-    driver: ShardDriver,
 }
 
 impl<'b> ProfilingContext<'b> {
@@ -159,26 +195,17 @@ impl<'b> ProfilingContext<'b> {
             boundary: None,
             cache: None,
             shards: 1,
-            driver: ShardDriver::Auto,
         }
     }
 
-    /// Split the profiling passes into `shards` trace segments run on
-    /// worker threads (1 = the monolithic single-thread pass). The
-    /// merged output is bit-identical to the monolithic pass — pinned
+    /// Cut each profiling walk into `shards` trace segments (default 1).
+    /// The merged products are bit-identical for every count — pinned
     /// by `sharded_profiling.rs` and the `mlpa-phase` property tests —
-    /// so this is purely a wall-clock/streaming lever: each worker
-    /// fast-forwards to its segment with the metadata walk (no
-    /// instruction materialisation) and profiles only its slice.
+    /// so this only sets checkpoint granularity: with an attached cache,
+    /// a walk of more than one segment stores each finished segment,
+    /// and a killed run resumes at the first missing one.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
-    }
-
-    /// Override how sharded passes schedule their segments (default:
-    /// [`ShardDriver::Auto`]). Scheduling never changes results — both
-    /// drivers emit identical per-shard artifacts and merges.
-    pub fn set_shard_driver(&mut self, driver: ShardDriver) {
-        self.driver = driver;
     }
 
     /// Attach an artifact cache: every profiling pass first consults it
@@ -211,23 +238,23 @@ impl<'b> ProfilingContext<'b> {
             .field("interval", &self.fine_interval)
     }
 
-    fn boundary_key(&self, header: mlpa_isa::BlockId) -> CacheKey {
+    fn boundary_key(&self, header: BlockId) -> CacheKey {
         CacheKey::new()
             .field("spec", self.cb.spec())
             .field("projection", &self.settings)
             .field("header", &header.raw())
     }
 
-    /// Key of one segment shard of the combined pass. The shard count
-    /// is part of the key: segment boundaries derive from it, so shards
-    /// of different partitions are not interchangeable (their *merge*
-    /// is identical, their pieces are not).
-    fn profile_shard_key(&self, shards: usize, k: usize) -> CacheKey {
-        self.fine_key().field("shards", &shards).field("shard", &k)
+    /// Checkpoint key of segment `k` of the combined walk. The segment
+    /// count is part of the key: segment boundaries derive from it, so
+    /// segments of different partitions are not interchangeable (their
+    /// *merge* is identical, their pieces are not).
+    fn profile_shard_key(&self, k: usize) -> CacheKey {
+        self.fine_key().field("shards", &self.shards).field("shard", &k)
     }
 
-    fn boundary_shard_key(&self, header: mlpa_isa::BlockId, shards: usize, k: usize) -> CacheKey {
-        self.boundary_key(header).field("shards", &shards).field("shard", &k)
+    fn boundary_shard_key(&self, header: BlockId, k: usize) -> CacheKey {
+        self.boundary_key(header).field("shards", &self.shards).field("shard", &k)
     }
 
     /// The shared projection matrix.
@@ -240,11 +267,9 @@ impl<'b> ProfilingContext<'b> {
         self.settings
     }
 
-    /// Run the combined base pass eagerly: the loop monitor and the
-    /// fine-interval profiler share a single trace traversal. Call this
-    /// when both products will be needed (as the experiment harness
-    /// does); otherwise the lazy getters each run their own pass on
-    /// first use.
+    /// Collect the loop profile and the fine intervals (from the cache,
+    /// or with one combined walk). The lazy getters call this too, so
+    /// calling it up front only fixes when the walk happens.
     pub fn prepare(&mut self) {
         if self.loop_profile.is_some() && self.fine_intervals.is_some() {
             return;
@@ -260,68 +285,20 @@ impl<'b> ProfilingContext<'b> {
                 return;
             }
         }
-        if self.shards > 1 {
-            self.prepare_sharded();
-            return;
-        }
         let _span = mlpa_obs::span("core.profile.base_pass");
         mlpa_obs::add("core.profile.base_passes", 1);
-        let mut monitor = LoopMonitor::new(self.cb.program());
-        // The profiler accumulates in the projected space (O(dim) state
-        // and O(dim) per flush, independent of num_blocks), so carrying
-        // it alongside the loop monitor adds little to the pass.
-        let mut prof = FixedLengthProfiler::new(&self.projection, self.fine_interval);
-        FunctionalSim::new(self.cb.program())
-            .run(WorkloadStream::new(self.cb), &mut (&mut monitor, &mut prof));
-        let profile = monitor.finish();
-        let intervals = prof.finish();
-        if let Some(cache) = &self.cache {
-            cache.put(&self.loop_key(), &profile);
-            cache.put(&self.fine_key(), &intervals);
-        }
-        self.loop_profile = Some(profile);
-        self.fine_intervals = Some(intervals);
-    }
-
-    /// Segment targets for an `N`-way partition of the trace: shard `k`
-    /// owns blocks whose first instruction lands in
-    /// `[targets[k], targets[k+1])`. Targets derive from the spec's
-    /// nominal length (O(1) — no trace-length pre-pass); the last shard
-    /// absorbs the generator's stochastic drift by running to the end
-    /// of the stream. Both sides of every boundary apply the same rule,
-    /// so the partition is exact, gap-free, and overlap-free for any
-    /// actual trace length.
-    fn shard_targets(&self, shards: usize) -> Vec<u64> {
-        let nominal = self.cb.spec().nominal_insts().max(1);
-        let mut t: Vec<u64> = (0..shards as u64).map(|k| k * nominal / shards as u64).collect();
-        t.push(u64::MAX);
-        t
-    }
-
-    /// The combined pass, sharded: each worker fast-forwards to its
-    /// segment with the metadata walk (cursor skips instead of
-    /// instruction materialisation, running O(1)-per-block trackers to
-    /// align the profiler state), profiles its slice, and the shards
-    /// merge bit-identically to the monolithic pass. Per-shard products
-    /// go through the artifact cache, so a killed run resumes at the
-    /// last completed segment.
-    fn prepare_sharded(&mut self) {
-        let _span = mlpa_obs::span("core.profile.shard_pass");
-        mlpa_obs::add("core.profile.shard_passes", 1);
-        let shards = self.shards;
-        let targets = self.shard_targets(shards);
-        let keys: Vec<CacheKey> = (0..shards).map(|k| self.profile_shard_key(shards, k)).collect();
-        let arts = if self.driver.threaded() {
-            self.profile_shards_threaded(&targets, &keys)
-        } else {
-            self.profile_shards_chained(&targets, &keys)
+        let walk = BaseWalk {
+            projection: &self.projection,
+            fine_interval: self.fine_interval,
+            fine_t: FineCutTracker::new(self.fine_interval),
+            loop_t: LoopStackTracker::new(self.cb.program()),
+            shard: None,
         };
-        let mut pieces = Vec::with_capacity(shards);
-        let mut loops = Vec::with_capacity(shards);
-        for a in arts {
-            pieces.push(a.pieces);
-            loops.push(a.loops);
-        }
+        let (pieces, loops): (Vec<_>, Vec<_>) = self
+            .walk_segments(walk, |k| self.profile_shard_key(k))
+            .into_iter()
+            .map(|a| (a.pieces, a.loops))
+            .unzip();
         let intervals = merge_fine(pieces);
         let profile = merge_loops(loops);
         if let Some(cache) = &self.cache {
@@ -332,292 +309,101 @@ impl<'b> ProfilingContext<'b> {
         self.fine_intervals = Some(intervals);
     }
 
-    /// Chained driver for the combined pass: stream the trace once,
-    /// carrying the cut/stack trackers continuously, and hand each
-    /// consecutive segment to freshly seeded shard profilers. No prefix
-    /// is ever replayed, so the whole pass costs one metadata walk plus
-    /// the O(1)-per-block profilers — the fast path on a single core.
-    /// Cache-hit segments still advance the stream and trackers (to
-    /// keep alignment) but skip the profiler work.
-    fn profile_shards_chained(
-        &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-    ) -> Vec<ProfileShardArtifact> {
-        let cache = self.cache.clone();
-        let mut stream = WorkloadStream::new(self.cb);
-        let mut scratch = Vec::new();
-        let mut fine_t = FineCutTracker::new(self.fine_interval);
-        let mut loop_t = LoopStackTracker::new(self.cb.program());
-        let mut arts = Vec::with_capacity(keys.len());
-        for (k, key) in keys.iter().enumerate() {
-            let t_end = targets[k + 1];
-            if let Some(a) = cache.as_ref().and_then(|c| c.get::<ProfileShardArtifact>(key)) {
-                mlpa_obs::add("core.profile.shard_resumes", 1);
-                while stream.emitted() < t_end {
-                    let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                    fine_t.record(m.insts);
-                    loop_t.record(m.id);
-                }
-                arts.push(a);
-                continue;
-            }
-            let _span = mlpa_obs::span("core.profile.shard");
-            mlpa_obs::add("core.profile.shards_run", 1);
-            mlpa_obs::gauge_set("core.shard.total", keys.len() as u64);
-            mlpa_obs::gauge_set("core.shard.segment", k as u64);
-            let mut prof = ShardFineProfiler::new(&self.projection, self.fine_interval, &fine_t);
-            let mut mon = ShardLoopMonitor::new(loop_t.clone());
-            while stream.emitted() < t_end {
-                let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                fine_t.record(m.insts);
-                loop_t.record(m.id);
-                prof.record(m.id, m.insts);
-                mon.record(m.id, m.insts);
-            }
-            let art = ProfileShardArtifact { pieces: prof.finish(), loops: mon.finish() };
-            if let Some(c) = &cache {
-                c.put(key, &art);
-            }
-            arts.push(art);
-        }
-        arts
+    /// Segment targets for an `N`-way partition of the trace: segment
+    /// `k` owns blocks whose first instruction lands in
+    /// `[targets[k], targets[k+1])`. Targets derive from the spec's
+    /// nominal length (O(1) — no trace-length pre-pass); the last
+    /// segment absorbs the generator's stochastic drift by running to
+    /// the end of the stream. Both sides of every boundary apply the
+    /// same rule, so the partition is exact, gap-free, and overlap-free
+    /// for any actual trace length.
+    fn shard_targets(&self) -> Vec<u64> {
+        let shards = self.shards as u64;
+        let nominal = self.cb.spec().nominal_insts().max(1);
+        let mut t: Vec<u64> = (0..shards).map(|k| k * nominal / shards).collect();
+        t.push(u64::MAX);
+        t
     }
 
-    /// Threaded driver for the combined pass: one scoped worker per
-    /// segment, each fast-forwarding through its prefix with the
-    /// metadata walk before profiling its slice.
-    fn profile_shards_threaded(
+    /// Stream the trace once, segment by segment, carrying `walk`'s
+    /// trackers continuously and profiling each segment with freshly
+    /// seeded shard profilers; the shards merge bit-identically to one
+    /// unsegmented profile. A walk of more than one segment checkpoints
+    /// every segment under `checkpoint(k)` in the attached cache, and a
+    /// checkpointed segment is only tracked, not profiled, so a killed
+    /// run resumes at the first missing segment. (One segment's
+    /// checkpoint would duplicate the merged artifact.)
+    fn walk_segments<W: SegmentWalk>(
         &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-    ) -> Vec<ProfileShardArtifact> {
-        let cb = self.cb;
-        let projection = &self.projection;
-        let fine_interval = self.fine_interval;
-        let cache = self.cache.clone();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = keys
-                .iter()
-                .enumerate()
-                .map(|(k, key)| {
-                    let cache = cache.clone();
-                    let targets = &targets;
-                    scope.spawn(move || {
-                        if let Some(c) = &cache {
-                            if let Some(a) = c.get::<ProfileShardArtifact>(key) {
-                                mlpa_obs::add("core.profile.shard_resumes", 1);
-                                return a;
-                            }
-                        }
-                        let _span = mlpa_obs::span("core.profile.shard");
-                        mlpa_obs::add("core.profile.shards_run", 1);
-                        // Last-write-wins: with concurrent shards the
-                        // gauge tracks whichever segment started most
-                        // recently, which is the live view we want.
-                        mlpa_obs::gauge_set("core.shard.total", targets.len() as u64 - 1);
-                        mlpa_obs::gauge_set("core.shard.segment", k as u64);
-                        let (t_begin, t_end) = (targets[k], targets[k + 1]);
-                        let mut stream = WorkloadStream::new(cb);
-                        let mut scratch = Vec::new();
-                        let mut fine_t = FineCutTracker::new(fine_interval);
-                        let mut loop_t = LoopStackTracker::new(cb.program());
-                        while stream.emitted() < t_begin {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            fine_t.record(m.insts);
-                            loop_t.record(m.id);
-                        }
-                        let mut prof = ShardFineProfiler::new(projection, fine_interval, &fine_t);
-                        let mut mon = ShardLoopMonitor::new(loop_t);
-                        while stream.emitted() < t_end {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            prof.record(m.id, m.insts);
-                            mon.record(m.id, m.insts);
-                        }
-                        let art =
-                            ProfileShardArtifact { pieces: prof.finish(), loops: mon.finish() };
-                        if let Some(c) = &cache {
-                            c.put(key, &art);
-                        }
-                        art
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
-    }
-
-    /// The boundary pass, sharded (see [`ProfilingContext::prepare`]'s
-    /// sharded variant): per-segment boundary pieces merge into the
-    /// monolithic pass's output bit-for-bit.
-    fn boundary_pass_sharded(&self, header: mlpa_isa::BlockId) -> (Vec<Interval>, bool) {
-        let _span = mlpa_obs::span("core.profile.shard_boundary_pass");
+        mut walk: W,
+        checkpoint: impl Fn(usize) -> CacheKey,
+    ) -> Vec<W::Shard> {
         let shards = self.shards;
-        let targets = self.shard_targets(shards);
-        let keys: Vec<CacheKey> =
-            (0..shards).map(|k| self.boundary_shard_key(header, shards, k)).collect();
-        let arts = if self.driver.threaded() {
-            self.boundary_shards_threaded(&targets, &keys, header)
-        } else {
-            self.boundary_shards_chained(&targets, &keys, header)
-        };
-        merge_boundary(arts.into_iter().map(|a| (a.pieces, a.first_header_pos)))
-    }
-
-    /// Chained driver for the boundary pass — single stream, no prefix
-    /// replay, tracker carried across segment boundaries (see
-    /// [`ProfilingContext::profile_shards_chained`]).
-    fn boundary_shards_chained(
-        &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-        header: mlpa_isa::BlockId,
-    ) -> Vec<BoundaryShardArtifact> {
-        let cache = self.cache.clone();
+        let targets = self.shard_targets();
+        let store = self.cache.as_deref().filter(|_| shards > 1);
         let mut stream = WorkloadStream::new(self.cb);
         let mut scratch = Vec::new();
-        let mut tracker = BoundaryTracker::new(header);
-        let mut arts = Vec::with_capacity(keys.len());
-        for (k, key) in keys.iter().enumerate() {
+        let mut out = Vec::with_capacity(shards);
+        for k in 0..shards {
             let t_end = targets[k + 1];
-            if let Some(a) = cache.as_ref().and_then(|c| c.get::<BoundaryShardArtifact>(key)) {
+            let key = store.map(|c| (c, checkpoint(k)));
+            if let Some(a) = key.as_ref().and_then(|(c, key)| c.get::<W::Shard>(key)) {
                 mlpa_obs::add("core.profile.shard_resumes", 1);
                 while stream.emitted() < t_end {
                     let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                    tracker.record(m.id, m.insts);
+                    walk.track(m.id, m.insts);
                 }
-                arts.push(a);
+                out.push(a);
                 continue;
             }
             let _span = mlpa_obs::span("core.profile.shard");
             mlpa_obs::add("core.profile.shards_run", 1);
-            mlpa_obs::gauge_set("core.shard.total", keys.len() as u64);
-            mlpa_obs::gauge_set("core.shard.segment", k as u64);
-            let mut prof = ShardBoundaryProfiler::new(&self.projection, &tracker);
+            // Segment progress is only news with more than one segment.
+            if shards > 1 {
+                mlpa_obs::gauge_set("core.shard.total", shards as u64);
+                mlpa_obs::gauge_set("core.shard.segment", k as u64);
+            }
+            walk.begin();
             while stream.emitted() < t_end {
                 let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                tracker.record(m.id, m.insts);
-                prof.record(m.id, m.insts);
+                walk.track(m.id, m.insts);
+                walk.record(m.id, m.insts);
             }
-            let (pieces, first_header_pos) = prof.finish();
-            let art = BoundaryShardArtifact { pieces, first_header_pos };
-            if let Some(c) = &cache {
-                c.put(key, &art);
+            let a = walk.end();
+            if let Some((c, key)) = &key {
+                c.put(key, &a);
             }
-            arts.push(art);
+            out.push(a);
         }
-        arts
-    }
-
-    /// Threaded driver for the boundary pass — one scoped worker per
-    /// segment with prefix fast-forward.
-    fn boundary_shards_threaded(
-        &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-        header: mlpa_isa::BlockId,
-    ) -> Vec<BoundaryShardArtifact> {
-        let cb = self.cb;
-        let projection = &self.projection;
-        let cache = self.cache.clone();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = keys
-                .iter()
-                .enumerate()
-                .map(|(k, key)| {
-                    let cache = cache.clone();
-                    let targets = &targets;
-                    scope.spawn(move || {
-                        if let Some(c) = &cache {
-                            if let Some(a) = c.get::<BoundaryShardArtifact>(key) {
-                                mlpa_obs::add("core.profile.shard_resumes", 1);
-                                return a;
-                            }
-                        }
-                        let _span = mlpa_obs::span("core.profile.shard");
-                        mlpa_obs::add("core.profile.shards_run", 1);
-                        mlpa_obs::gauge_set("core.shard.total", targets.len() as u64 - 1);
-                        mlpa_obs::gauge_set("core.shard.segment", k as u64);
-                        let (t_begin, t_end) = (targets[k], targets[k + 1]);
-                        let mut stream = WorkloadStream::new(cb);
-                        let mut scratch = Vec::new();
-                        let mut tracker = BoundaryTracker::new(header);
-                        while stream.emitted() < t_begin {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            tracker.record(m.id, m.insts);
-                        }
-                        let mut prof = ShardBoundaryProfiler::new(projection, &tracker);
-                        while stream.emitted() < t_end {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            prof.record(m.id, m.insts);
-                        }
-                        let (pieces, first_header_pos) = prof.finish();
-                        let art = BoundaryShardArtifact { pieces, first_header_pos };
-                        if let Some(c) = &cache {
-                            c.put(key, &art);
-                        }
-                        art
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
+        out
     }
 
     /// The loop (cyclic-structure) profile of the trace.
     pub fn loop_profile(&mut self) -> &LoopProfile {
         if self.loop_profile.is_none() {
-            if let Some(cache) = &self.cache {
-                self.loop_profile = cache.get::<LoopProfile>(&self.loop_key());
-            }
+            self.prepare();
         }
-        if self.loop_profile.is_none() {
-            let _span = mlpa_obs::span("core.profile.loop_pass");
-            mlpa_obs::add("core.profile.loop_passes", 1);
-            let mut monitor = LoopMonitor::new(self.cb.program());
-            FunctionalSim::new(self.cb.program()).run(WorkloadStream::new(self.cb), &mut monitor);
-            let profile = monitor.finish();
-            if let Some(cache) = &self.cache {
-                cache.put(&self.loop_key(), &profile);
-            }
-            self.loop_profile = Some(profile);
-        }
-        self.loop_profile.as_ref().expect("just computed")
+        self.loop_profile.as_ref().expect("just prepared")
     }
 
     /// Fixed-length intervals at the context's fine interval length.
     pub fn fine_intervals(&mut self) -> &[Interval] {
         if self.fine_intervals.is_none() {
-            if let Some(cache) = &self.cache {
-                self.fine_intervals = cache.get::<Vec<Interval>>(&self.fine_key());
-            }
+            self.prepare();
         }
-        if self.fine_intervals.is_none() {
-            let intervals = profile_fixed(self.cb, self.fine_interval, &self.projection);
-            if let Some(cache) = &self.cache {
-                cache.put(&self.fine_key(), &intervals);
-            }
-            self.fine_intervals = Some(intervals);
-        }
-        self.fine_intervals.as_ref().expect("just computed")
+        self.fine_intervals.as_ref().expect("just prepared")
     }
 
     /// Variable-length intervals cut at iterations of the cyclic
     /// structure headed by `header`, plus whether the trace has a
     /// prologue before the first header entry. Cached per header.
-    pub fn boundary_intervals(&mut self, header: mlpa_isa::BlockId) -> (&[Interval], bool) {
+    pub fn boundary_intervals(&mut self, header: BlockId) -> (&[Interval], bool) {
         let stale = self.boundary.as_ref().is_none_or(|b| b.header != header);
         if stale {
             if let Some(cache) = &self.cache {
                 if let Some(b) = cache.get::<BoundaryArtifact>(&self.boundary_key(header)) {
                     self.boundary = Some(BoundaryPass {
-                        header: mlpa_isa::BlockId::new(b.header),
+                        header: BlockId::new(b.header),
                         has_prologue: b.has_prologue,
                         intervals: b.intervals,
                     });
@@ -628,14 +414,14 @@ impl<'b> ProfilingContext<'b> {
         if stale {
             let _span = mlpa_obs::span("core.profile.boundary_pass");
             mlpa_obs::add("core.profile.boundary_passes", 1);
-            let (intervals, has_prologue) = if self.shards > 1 {
-                self.boundary_pass_sharded(header)
-            } else {
-                let mut prof = BoundaryProfiler::new(&self.projection, header);
-                FunctionalSim::new(self.cb.program()).run(WorkloadStream::new(self.cb), &mut prof);
-                let has_prologue = prof.has_prologue();
-                (prof.finish(), has_prologue)
+            let walk = BoundaryWalk {
+                projection: &self.projection,
+                tracker: BoundaryTracker::new(header),
+                shard: None,
             };
+            let shards = self.walk_segments(walk, |k| self.boundary_shard_key(header, k));
+            let (intervals, has_prologue) =
+                merge_boundary(shards.into_iter().map(|a| (a.pieces, a.first_header_pos)));
             if let Some(cache) = &self.cache {
                 cache.put(
                     &self.boundary_key(header),
@@ -662,18 +448,6 @@ impl<'b> ProfilingContext<'b> {
 pub fn trace_insts(cb: &CompiledBenchmark) -> u64 {
     let _span = mlpa_obs::span("core.profile.trace_len");
     mlpa_isa::stream::drain_meta_count(WorkloadStream::new(cb)).instructions
-}
-
-/// Profile a benchmark into fixed-length intervals (one functional
-/// pass).
-pub fn profile_fixed(
-    cb: &CompiledBenchmark,
-    interval_len: u64,
-    proj: &RandomProjection,
-) -> Vec<Interval> {
-    let mut prof = FixedLengthProfiler::new(proj, interval_len);
-    FunctionalSim::new(cb.program()).run(WorkloadStream::new(cb), &mut prof);
-    prof.finish()
 }
 
 /// Convert selected simulation points into an executable plan.

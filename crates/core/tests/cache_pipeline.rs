@@ -74,6 +74,11 @@ fn warm_run_reproduces_cold_run_exactly() {
     ] {
         assert!(kinds.iter().any(|k| k == expected), "missing artifact kind {expected}: {kinds:?}");
     }
+    // A one-segment walk writes no per-segment checkpoints: they would
+    // duplicate the merged artifacts.
+    for absent in ["profile-shard", "boundary-shard"] {
+        assert!(!kinds.iter().any(|k| k == absent), "unexpected artifact kind {absent}");
+    }
 
     let _ = fs::remove_dir_all(&root);
 }
@@ -140,6 +145,38 @@ fn corrupted_entries_are_regenerated() {
     assert_eq!(regen, cold, "regenerated results must match the cold run");
     let warm = run_pipeline(&cb, Some(cache.clone()));
     assert_eq!(warm, cold, "entries rewritten after corruption must verify");
+
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Regression: COASTS and multi-level outcomes are keyed on the
+/// context's projection settings, which their signatures depend on, so
+/// two contexts with different projections sharing one store never get
+/// each other's outcome.
+#[test]
+fn outcomes_are_keyed_on_the_context_projection() {
+    let cb = two_phase_cb();
+    let root = tmp_root("projection");
+    let cache = Arc::new(ArtifactCache::open(&root).unwrap());
+    let mcfg = MultilevelConfig::default();
+    let run = |seed: u64, cache: Option<Arc<ArtifactCache>>| {
+        let settings = ProjectionSettings { seed, ..mcfg.coasts.projection };
+        let mut ctx = ProfilingContext::new(&cb, settings, mcfg.fine_interval);
+        if let Some(c) = cache {
+            ctx.set_cache(c);
+        }
+        let co = coasts_with(&mut ctx, &mcfg.coasts).unwrap();
+        let multi = multilevel_with(&mut ctx, &mcfg).unwrap();
+        (co, multi)
+    };
+    let seed = mcfg.coasts.projection.seed;
+    let first = run(seed, Some(cache.clone()));
+    let other = seed ^ 0x9E37_79B9;
+    let second = run(other, Some(cache.clone()));
+    let uncached = run(other, None);
+    assert_ne!(first.0, uncached.0, "precondition: the projections give different signatures");
+    assert_eq!(second.0, uncached.0, "COASTS outcome served across projections");
+    assert_eq!(second.1, uncached.1, "multi-level outcome served across projections");
 
     let _ = fs::remove_dir_all(&root);
 }

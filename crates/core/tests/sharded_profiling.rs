@@ -1,8 +1,9 @@
-//! Context-level sharding integration: `ProfilingContext` with
-//! `set_shards(N)` must produce **bit-identical** profiles, selections,
-//! and estimates to the monolithic single-thread pass, and per-shard
-//! artifacts in the cache must let a killed run resume without
-//! re-profiling completed segments.
+//! The segment walk against its oracles: `ProfilingContext` must
+//! produce profiles **bit-identical** to the unsegmented reference
+//! observers at every segment count, whether `prepare()` runs first or
+//! the lazy getters run alone (the serve path's call order); selections
+//! must not see the count; and per-segment checkpoints in the cache must
+//! let a killed run resume without re-profiling completed segments.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,12 +11,17 @@ use std::sync::Arc;
 
 use mlpa_core::artifact::ProfileShardArtifact;
 use mlpa_core::cache::{ArtifactCache, CacheKey};
-use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, ShardDriver, FINE_INTERVAL};
+use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, FINE_INTERVAL};
 use mlpa_core::prelude::*;
-use mlpa_phase::interval::Interval;
+use mlpa_phase::interval::{FixedLengthProfiler, Interval};
 use mlpa_phase::loops::LoopProfile;
+use mlpa_phase::reference::{BoundaryProfiler, LoopMonitor};
+use mlpa_sim::FunctionalSim;
 use mlpa_workloads::spec::{BenchmarkSpec, PhaseSpec, ScriptEntry};
-use mlpa_workloads::CompiledBenchmark;
+use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
+
+/// Loop profile, fine intervals, boundary intervals, prologue flag.
+type Profiles = (LoopProfile, Vec<Interval>, Vec<Interval>, bool);
 
 fn two_phase_cb() -> CompiledBenchmark {
     let spec = BenchmarkSpec {
@@ -36,19 +42,34 @@ fn tmp_root(tag: &str) -> PathBuf {
     dir
 }
 
+/// The oracle walk: the reference observers under `FunctionalSim::run`.
+fn oracle(cb: &CompiledBenchmark) -> Profiles {
+    let proj = ProjectionSettings::default().build(cb);
+    let mut monitor = LoopMonitor::new(cb.program());
+    let mut fine = FixedLengthProfiler::new(&proj, FINE_INTERVAL);
+    FunctionalSim::new(cb.program()).run(WorkloadStream::new(cb), &mut (&mut monitor, &mut fine));
+    let mut boundary = BoundaryProfiler::new(&proj, cb.outer_header());
+    FunctionalSim::new(cb.program()).run(WorkloadStream::new(cb), &mut boundary);
+    let prologue = boundary.has_prologue();
+    (monitor.finish(), fine.finish(), boundary.finish(), prologue)
+}
+
+/// The context's products at `shards` segments; `prepare` selects
+/// whether the combined walk runs up front or from the first getter.
 fn profiles_with(
     cb: &CompiledBenchmark,
     shards: usize,
-    driver: ShardDriver,
+    prepare: bool,
     cache: Option<Arc<ArtifactCache>>,
-) -> (LoopProfile, Vec<Interval>, Vec<Interval>, bool) {
+) -> Profiles {
     let mut ctx = ProfilingContext::new(cb, ProjectionSettings::default(), FINE_INTERVAL);
     ctx.set_shards(shards);
-    ctx.set_shard_driver(driver);
     if let Some(c) = cache {
         ctx.set_cache(c);
     }
-    ctx.prepare();
+    if prepare {
+        ctx.prepare();
+    }
     let profile = ctx.loop_profile().clone();
     let fine = ctx.fine_intervals().to_vec();
     let header = cb.outer_header();
@@ -57,17 +78,15 @@ fn profiles_with(
 }
 
 #[test]
-fn sharded_context_is_bit_identical_to_monolithic() {
+fn segment_walk_matches_the_oracles_at_every_count() {
     let cb = two_phase_cb();
-    let mono = profiles_with(&cb, 1, ShardDriver::Auto, None);
-    // Scheduling is a wall-clock knob only: every shard count under
-    // every driver must reproduce the monolithic pass bit-for-bit.
-    for driver in [ShardDriver::Chained, ShardDriver::Threaded] {
-        for shards in [2, 3, 5, 8] {
-            let sharded = profiles_with(&cb, shards, driver, None);
+    let expect = oracle(&cb);
+    for shards in [1, 2, 3, 5, 8] {
+        for prepare in [true, false] {
             assert_eq!(
-                sharded, mono,
-                "shards={shards} ({driver:?}) diverged from the monolithic pass"
+                profiles_with(&cb, shards, prepare, None),
+                expect,
+                "shards={shards} (prepare first: {prepare}) diverged from the oracle walk"
             );
         }
     }
@@ -108,9 +127,7 @@ fn shard_artifacts_resume_an_interrupted_run() {
     let root = tmp_root("resume");
     let cache = Arc::new(ArtifactCache::open(&root).unwrap());
 
-    // Cold run under the threaded driver; the resumed runs below use
-    // the chained driver — per-shard artifacts are driver-agnostic.
-    let pristine = profiles_with(&cb, shards, ShardDriver::Threaded, Some(cache.clone()));
+    let pristine = profiles_with(&cb, shards, true, Some(cache.clone()));
 
     // The cold run deposited one artifact per shard.
     for kind in ["profile-shard", "boundary-shard"] {
@@ -135,14 +152,14 @@ fn shard_artifacts_resume_an_interrupted_run() {
     tampered.loops.total_insts += 1_000_000;
     cache.put(&key, &tampered);
     drop_merged();
-    let poisoned = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()));
+    let poisoned = profiles_with(&cb, shards, true, Some(cache.clone()));
     assert_ne!(poisoned.0, pristine.0, "resume must read the cached shard artifacts");
 
     // With the real artifact restored, resume reproduces the cold run
     // bit-for-bit.
     cache.put(&key, &original);
     drop_merged();
-    let resumed = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()));
+    let resumed = profiles_with(&cb, shards, true, Some(cache.clone()));
     assert_eq!(resumed, pristine, "resumed run must match the uninterrupted one");
 
     let _ = fs::remove_dir_all(&root);

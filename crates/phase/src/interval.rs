@@ -2,15 +2,12 @@
 //! collecting one (projected, normalised) basic-block vector per
 //! interval.
 //!
-//! Two slicers are provided, matching the paper's two granularities:
-//!
-//! * [`FixedLengthProfiler`] — fixed-size intervals (SimPoint's 10 M /
-//!   our scaled 10 k instructions);
-//! * [`BoundaryProfiler`] — variable-length intervals cut at every entry
-//!   of a chosen loop-header block (COASTS's outer-loop iterations).
-//!
-//! Both are [`Observer`]s for the functional simulator, so profiling is
-//! a single functional pass.
+//! [`FixedLengthProfiler`] cuts fixed-size intervals (SimPoint's 10 M /
+//! our scaled 10 k instructions) from `(block, length)` records; the
+//! pipeline's segment walks ([`crate::shard`]) produce the same
+//! intervals, and the loop-iteration slicer of COASTS, piecewise. The
+//! unsegmented loop-iteration slicer survives as a test oracle,
+//! [`crate::reference::BoundaryProfiler`].
 
 use crate::project::RandomProjection;
 use mlpa_isa::{BlockId, Instruction};
@@ -48,7 +45,7 @@ impl Interval {
     }
 }
 
-/// Shared accumulation machinery for both profilers.
+/// Shared accumulation machinery for the unsegmented profilers.
 ///
 /// The signature is accumulated **directly in the projected space**:
 /// `add` performs `dim` fused multiply-adds against the block's cached
@@ -66,26 +63,26 @@ impl Interval {
 /// interval length equals projecting the normalised BBV, again by
 /// linearity.
 #[derive(Debug)]
-struct Accumulator {
+pub(crate) struct Accumulator {
     /// Projected-space accumulator (`dim` floats).
     acc: Vec<f64>,
-    count: u64,
+    pub(crate) count: u64,
     start: u64,
-    intervals: Vec<Interval>,
+    pub(crate) intervals: Vec<Interval>,
 }
 
 impl Accumulator {
-    fn new(dim: usize) -> Accumulator {
+    pub(crate) fn new(dim: usize) -> Accumulator {
         Accumulator { acc: vec![0.0; dim], count: 0, start: 0, intervals: Vec::new() }
     }
 
     #[inline]
-    fn add(&mut self, proj: &RandomProjection, id: BlockId, insts: u64) {
+    pub(crate) fn add(&mut self, proj: &RandomProjection, id: BlockId, insts: u64) {
         proj.accumulate(id.index(), insts as f64, &mut self.acc);
         self.count += insts;
     }
 
-    fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         if self.count == 0 {
             return;
         }
@@ -159,75 +156,6 @@ impl<'a> FixedLengthProfiler<'a> {
 }
 
 impl Observer for FixedLengthProfiler<'_> {
-    fn on_block(&mut self, id: BlockId, insts: &[Instruction], _first: u64) {
-        self.record(id, insts.len() as u64);
-    }
-}
-
-/// Profiler for variable-length intervals cut at every entry of a chosen
-/// header block (the coarse, loop-iteration granularity of COASTS).
-///
-/// The prologue before the first header entry becomes the first
-/// interval; the epilogue after the last entry becomes the last.
-#[derive(Debug)]
-pub struct BoundaryProfiler<'a> {
-    proj: &'a RandomProjection,
-    header: BlockId,
-    acc: Accumulator,
-    seen_header: bool,
-    has_prologue: bool,
-}
-
-impl<'a> BoundaryProfiler<'a> {
-    /// Create a profiler cutting at every execution of `header`.
-    pub fn new(proj: &'a RandomProjection, header: BlockId) -> BoundaryProfiler<'a> {
-        BoundaryProfiler {
-            proj,
-            header,
-            acc: Accumulator::new(proj.dim()),
-            seen_header: false,
-            has_prologue: false,
-        }
-    }
-
-    /// Record one executed block of `insts` instructions — the raw form
-    /// of the [`Observer`] hook (see
-    /// [`FixedLengthProfiler::record`](FixedLengthProfiler::record)).
-    #[inline]
-    pub fn record(&mut self, id: BlockId, insts: u64) {
-        if id == self.header {
-            if !self.seen_header {
-                self.seen_header = true;
-                self.has_prologue = self.acc.count > 0;
-            }
-            self.acc.flush();
-        }
-        self.acc.add(self.proj, id, insts);
-    }
-
-    /// The boundary block.
-    pub fn header(&self) -> BlockId {
-        self.header
-    }
-
-    /// Whether instructions executed before the first header entry, i.e.
-    /// whether the first interval is a prologue rather than an iteration
-    /// instance. COASTS excludes the prologue from phase classification:
-    /// it is not an iteration of the cyclic structure, and selecting it
-    /// as a representative would let a few thousand setup instructions
-    /// stand in for a whole phase.
-    pub fn has_prologue(&self) -> bool {
-        self.has_prologue
-    }
-
-    /// Flush the trailing interval and return all intervals.
-    pub fn finish(mut self) -> Vec<Interval> {
-        self.acc.flush();
-        self.acc.intervals
-    }
-}
-
-impl Observer for BoundaryProfiler<'_> {
     fn on_block(&mut self, id: BlockId, insts: &[Instruction], _first: u64) {
         self.record(id, insts.len() as u64);
     }
@@ -315,7 +243,7 @@ mod tests {
         let cb = compiled();
         let total = total_insts(&cb);
         let proj = RandomProjection::new(cb.program().num_blocks(), 15, 1);
-        let mut prof = BoundaryProfiler::new(&proj, cb.outer_header());
+        let mut prof = crate::reference::BoundaryProfiler::new(&proj, cb.outer_header());
         FunctionalSim::new(cb.program()).run(WorkloadStream::new(&cb), &mut prof);
         let ivs = prof.finish();
         validate_intervals(&ivs).unwrap();
@@ -362,7 +290,7 @@ mod tests {
         // tightly: compare consecutive outer iterations.
         let cb = compiled();
         let proj = RandomProjection::new(cb.program().num_blocks(), 15, 1);
-        let mut prof = BoundaryProfiler::new(&proj, cb.outer_header());
+        let mut prof = crate::reference::BoundaryProfiler::new(&proj, cb.outer_header());
         FunctionalSim::new(cb.program()).run(WorkloadStream::new(&cb), &mut prof);
         let ivs = prof.finish();
         // Skip prologue and epilogue.

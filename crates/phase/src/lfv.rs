@@ -28,7 +28,7 @@ use mlpa_sim::functional::Observer;
 /// Fixed-length interval profiler collecting loop-frequency vectors.
 ///
 /// Loop headers are discovered on the fly from backward transitions
-/// (the same signal [`LoopMonitor`](crate::loops::LoopMonitor) uses);
+/// (the same signal [`LoopMonitor`](crate::reference::LoopMonitor) uses);
 /// each header gets a dimension in execution order of discovery. The
 /// final vectors are padded to the full dimensionality and normalised
 /// by interval instruction count, mirroring the BBV treatment.

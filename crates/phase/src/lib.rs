@@ -7,21 +7,20 @@
 //!
 //! * [`project`] — the 15-dimensional random projection of basic-block
 //!   vectors (BBVs);
-//! * [`interval`] — slicing an execution into fixed-length
-//!   (fine-grained) or loop-boundary (coarse-grained) intervals while
-//!   collecting one signature vector per interval;
-//! * [`loops`] — dynamic detection of cyclic program structures from
-//!   backward branches, with coverage statistics (COASTS's boundary
-//!   collection step);
-//! * [`shard`] — segment-sharded variants of the profilers whose
-//!   merged output is bit-identical to the monolithic passes, plus the
-//!   cheap prefix trackers that align a shard mid-trace;
+//! * [`interval`] — profiled intervals, one signature vector each, and
+//!   the fixed-length (fine-grained) slicer;
+//! * [`loops`] — cyclic program structures detected from backward
+//!   branches, with coverage statistics (COASTS's boundary collection
+//!   step);
+//! * [`shard`] — the segment profilers every profiling walk runs: fine,
+//!   loop and loop-boundary (coarse-grained) slicing, plus the cheap
+//!   trackers that carry a walk across segment boundaries;
 //! * [`matrix`] — flat row-major storage the clustering kernels run on;
 //! * [`kmeans`] / [`bic`] — the phase classifier (Hamerly-pruned
 //!   Lloyd's over contiguous storage) and SimPoint's BIC-based choice
 //!   of the number of phases;
-//! * [`reference`] — the naive clustering implementations kept as an
-//!   executable specification and bench baseline;
+//! * [`reference`] — naive clustering kernels and unsegmented profiling
+//!   observers, kept as test oracles and bench baselines;
 //! * [`pca`] — principal components for visualising phase behaviour
 //!   (the paper's Fig. 1);
 //! * [`simpoint`] — representative selection (classic SimPoint,
@@ -61,8 +60,8 @@ pub mod shard;
 pub mod simpoint;
 pub mod wss;
 
-pub use interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
-pub use loops::{CyclicStructure, LoopMonitor, LoopProfile};
+pub use interval::{FixedLengthProfiler, Interval};
+pub use loops::{CyclicStructure, LoopProfile};
 pub use matrix::Matrix;
 pub use project::RandomProjection;
 pub use simpoint::{select, Selection, SimPoint, SimPointConfig, SimPoints};

@@ -17,12 +17,12 @@
 //! an outer loop's coverage includes its nested loops. COASTS selects
 //! the *outermost* structure (minimum observed depth, maximum coverage)
 //! among those with coverage ≥ 1 %, then slices the program at every
-//! entry of that structure's header
-//! ([`BoundaryProfiler`](crate::interval::BoundaryProfiler)).
+//! entry of that structure's header. The pipeline runs the detector as
+//! a segment walk ([`crate::shard::ShardLoopMonitor`]) tested against
+//! the unsegmented per-block oracle
+//! [`crate::reference::LoopMonitor`].
 
-use mlpa_isa::{BlockId, Instruction, Program};
-use mlpa_sim::functional::Observer;
-use std::collections::HashMap;
+use mlpa_isa::BlockId;
 
 /// Statistics for one detected cyclic structure.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,106 +50,6 @@ impl CyclicStructure {
     pub fn coverage(&self, total: u64) -> f64 {
         assert!(total > 0, "total must be positive");
         self.coverage_insts as f64 / total as f64
-    }
-}
-
-#[derive(Debug)]
-struct Frame {
-    header: BlockId,
-    header_addr: u64,
-}
-
-/// The loop-profiling observer (pass 1 of COASTS).
-#[derive(Debug)]
-pub struct LoopMonitor<'p> {
-    program: &'p Program,
-    stack: Vec<Frame>,
-    stats: HashMap<BlockId, CyclicStructure>,
-    prev: Option<BlockId>,
-    total_insts: u64,
-}
-
-impl<'p> LoopMonitor<'p> {
-    /// Create a monitor for `program`.
-    pub fn new(program: &'p Program) -> LoopMonitor<'p> {
-        LoopMonitor {
-            program,
-            stack: Vec::new(),
-            stats: HashMap::new(),
-            prev: None,
-            total_insts: 0,
-        }
-    }
-
-    /// Total instructions observed.
-    pub fn total_insts(&self) -> u64 {
-        self.total_insts
-    }
-
-    /// Finish profiling and return all detected structures, outermost
-    /// (then most-covering) first.
-    pub fn finish(self) -> LoopProfile {
-        let mut structures: Vec<CyclicStructure> = self.stats.into_values().collect();
-        structures.sort_by(|a, b| {
-            a.min_depth
-                .cmp(&b.min_depth)
-                .then(b.coverage_insts.cmp(&a.coverage_insts))
-                .then(a.header.cmp(&b.header))
-        });
-        LoopProfile { structures, total_insts: self.total_insts }
-    }
-}
-
-impl Observer for LoopMonitor<'_> {
-    fn on_block(&mut self, id: BlockId, insts: &[Instruction], _first: u64) {
-        let n = insts.len() as u64;
-        self.total_insts += n;
-
-        if let Some(prev) = self.prev {
-            if self.program.is_backward(prev, id) {
-                let target_addr = self.program.block(id).addr;
-                // Pop every loop whose header lies above the target.
-                while let Some(top) = self.stack.last() {
-                    if top.header_addr > target_addr {
-                        self.stack.pop();
-                    } else {
-                        break;
-                    }
-                }
-                match self.stack.last() {
-                    Some(top) if top.header == id => {
-                        // New iteration of the current loop.
-                        if let Some(s) = self.stats.get_mut(&id) {
-                            s.back_edges += 1;
-                        }
-                    }
-                    _ => {
-                        // New loop discovered (or re-entered).
-                        let depth = self.stack.len();
-                        let entry = self.stats.entry(id).or_insert_with(|| CyclicStructure {
-                            header: id,
-                            coverage_insts: 0,
-                            back_edges: 0,
-                            entries: 0,
-                            min_depth: depth,
-                        });
-                        entry.entries += 1;
-                        entry.back_edges += 1;
-                        entry.min_depth = entry.min_depth.min(depth);
-                        self.stack
-                            .push(Frame { header: id, header_addr: self.program.block(id).addr });
-                    }
-                }
-            }
-        }
-
-        // Attribute this block's instructions to every live loop.
-        for f in &self.stack {
-            if let Some(s) = self.stats.get_mut(&f.header) {
-                s.coverage_insts += n;
-            }
-        }
-        self.prev = Some(id);
     }
 }
 
@@ -184,6 +84,7 @@ impl LoopProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::LoopMonitor;
     use mlpa_sim::FunctionalSim;
     use mlpa_workloads::{
         spec::{BenchmarkSpec, PhaseSpec, ScriptEntry},
@@ -266,6 +167,6 @@ mod tests {
         let cb = CompiledBenchmark::compile(&BenchmarkSpec::default()).unwrap();
         let mut mon = LoopMonitor::new(cb.program());
         let stats = FunctionalSim::new(cb.program()).run(WorkloadStream::new(&cb), &mut mon);
-        assert_eq!(mon.total_insts(), stats.instructions);
+        assert_eq!(mon.finish().total_insts, stats.instructions);
     }
 }

@@ -1,7 +1,11 @@
-//! Naive reference implementations of the clustering kernels.
+//! Naive reference implementations, kept as executable specifications.
 //!
-//! These are the pre-optimisation `Vec<Vec<f64>>` code paths, kept as an
-//! executable specification: [`lloyd_naive`] allocates its accumulators
+//! [`LoopMonitor`] and [`BoundaryProfiler`] are unsegmented per-block
+//! observers; the segment walks' merged products ([`crate::shard`])
+//! must equal theirs bit-for-bit at every segment count.
+//!
+//! The clustering references are the pre-optimisation `Vec<Vec<f64>>`
+//! code paths: [`lloyd_naive`] allocates its accumulators
 //! afresh every iteration and scans every centroid for every point, with
 //! no pruning and no scratch reuse. The optimised kernels in
 //! [`crate::kmeans`] are required to produce **identical** output —
@@ -17,10 +21,15 @@
 //! optimised path so they stay comparable.
 
 use crate::bic::KSelection;
+use crate::interval::{Accumulator, Interval};
 use crate::kmeans::{KMeansConfig, KMeansResult};
+use crate::loops::{CyclicStructure, LoopProfile};
 use crate::matrix::Matrix;
-use crate::project::distance_sq;
+use crate::project::{distance_sq, RandomProjection};
 use mlpa_isa::rng::SplitMix64;
+use mlpa_isa::{BlockId, Instruction, Program};
+use mlpa_sim::functional::Observer;
+use std::collections::HashMap;
 
 /// Naive k-means: k-means++ seeding, plain Lloyd's, multiple restarts.
 /// Same contract (and same output) as [`crate::kmeans::kmeans`].
@@ -226,6 +235,169 @@ pub fn choose_k_naive(
         candidates.iter().position(|(_, s)| *s >= cut).expect("at least the max clears the cut");
     let (result, _) = candidates.swap_remove(pick);
     KSelection { k: result.k, result, scores }
+}
+
+#[derive(Debug)]
+struct Frame {
+    header: BlockId,
+    header_addr: u64,
+}
+
+/// The unsegmented loop-profiling observer: the oracle of the segment
+/// walk's [`LoopStackTracker`](crate::shard::LoopStackTracker) and
+/// [`ShardLoopMonitor`](crate::shard::ShardLoopMonitor).
+#[derive(Debug)]
+pub struct LoopMonitor<'p> {
+    program: &'p Program,
+    stack: Vec<Frame>,
+    stats: HashMap<BlockId, CyclicStructure>,
+    prev: Option<BlockId>,
+    total_insts: u64,
+}
+
+impl<'p> LoopMonitor<'p> {
+    /// Create a monitor for `program`.
+    pub fn new(program: &'p Program) -> LoopMonitor<'p> {
+        LoopMonitor {
+            program,
+            stack: Vec::new(),
+            stats: HashMap::new(),
+            prev: None,
+            total_insts: 0,
+        }
+    }
+
+    /// Finish profiling and return all detected structures, outermost
+    /// (then most-covering) first.
+    pub fn finish(self) -> LoopProfile {
+        let mut structures: Vec<CyclicStructure> = self.stats.into_values().collect();
+        structures.sort_by(|a, b| {
+            a.min_depth
+                .cmp(&b.min_depth)
+                .then(b.coverage_insts.cmp(&a.coverage_insts))
+                .then(a.header.cmp(&b.header))
+        });
+        LoopProfile { structures, total_insts: self.total_insts }
+    }
+}
+
+impl Observer for LoopMonitor<'_> {
+    fn on_block(&mut self, id: BlockId, insts: &[Instruction], _first: u64) {
+        let n = insts.len() as u64;
+        self.total_insts += n;
+
+        if let Some(prev) = self.prev {
+            if self.program.is_backward(prev, id) {
+                let target_addr = self.program.block(id).addr;
+                // Pop every loop whose header lies above the target.
+                while let Some(top) = self.stack.last() {
+                    if top.header_addr > target_addr {
+                        self.stack.pop();
+                    } else {
+                        break;
+                    }
+                }
+                match self.stack.last() {
+                    Some(top) if top.header == id => {
+                        // New iteration of the current loop.
+                        if let Some(s) = self.stats.get_mut(&id) {
+                            s.back_edges += 1;
+                        }
+                    }
+                    _ => {
+                        // New loop discovered (or re-entered).
+                        let depth = self.stack.len();
+                        let entry = self.stats.entry(id).or_insert_with(|| CyclicStructure {
+                            header: id,
+                            coverage_insts: 0,
+                            back_edges: 0,
+                            entries: 0,
+                            min_depth: depth,
+                        });
+                        entry.entries += 1;
+                        entry.back_edges += 1;
+                        entry.min_depth = entry.min_depth.min(depth);
+                        self.stack
+                            .push(Frame { header: id, header_addr: self.program.block(id).addr });
+                    }
+                }
+            }
+        }
+
+        // Attribute this block's instructions to every live loop.
+        for f in &self.stack {
+            if let Some(s) = self.stats.get_mut(&f.header) {
+                s.coverage_insts += n;
+            }
+        }
+        self.prev = Some(id);
+    }
+}
+
+/// Unsegmented profiler for variable-length intervals cut at every
+/// entry of a chosen header block (the coarse, loop-iteration
+/// granularity of COASTS): the oracle of the segment walk's
+/// [`ShardBoundaryProfiler`](crate::shard::ShardBoundaryProfiler).
+///
+/// The prologue before the first header entry becomes the first
+/// interval; the epilogue after the last entry becomes the last.
+#[derive(Debug)]
+pub struct BoundaryProfiler<'a> {
+    proj: &'a RandomProjection,
+    header: BlockId,
+    acc: Accumulator,
+    seen_header: bool,
+    has_prologue: bool,
+}
+
+impl<'a> BoundaryProfiler<'a> {
+    /// Create a profiler cutting at every execution of `header`.
+    pub fn new(proj: &'a RandomProjection, header: BlockId) -> BoundaryProfiler<'a> {
+        BoundaryProfiler {
+            proj,
+            header,
+            acc: Accumulator::new(proj.dim()),
+            seen_header: false,
+            has_prologue: false,
+        }
+    }
+
+    /// Record one executed block of `insts` instructions — the raw form
+    /// of the [`Observer`] hook (see
+    /// [`FixedLengthProfiler::record`](crate::interval::FixedLengthProfiler::record)).
+    #[inline]
+    pub fn record(&mut self, id: BlockId, insts: u64) {
+        if id == self.header {
+            if !self.seen_header {
+                self.seen_header = true;
+                self.has_prologue = self.acc.count > 0;
+            }
+            self.acc.flush();
+        }
+        self.acc.add(self.proj, id, insts);
+    }
+
+    /// Whether instructions executed before the first header entry, i.e.
+    /// whether the first interval is a prologue rather than an iteration
+    /// instance. COASTS excludes the prologue from phase classification:
+    /// it is not an iteration of the cyclic structure, and selecting it
+    /// as a representative would let a few thousand setup instructions
+    /// stand in for a whole phase.
+    pub fn has_prologue(&self) -> bool {
+        self.has_prologue
+    }
+
+    /// Flush the trailing interval and return all intervals.
+    pub fn finish(mut self) -> Vec<Interval> {
+        self.acc.flush();
+        self.acc.intervals
+    }
+}
+
+impl Observer for BoundaryProfiler<'_> {
+    fn on_block(&mut self, id: BlockId, insts: &[Instruction], _first: u64) {
+        self.record(id, insts.len() as u64);
+    }
 }
 
 #[cfg(test)]

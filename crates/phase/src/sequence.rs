@@ -216,7 +216,7 @@ mod tests {
         let spec = suite::benchmark_with_iters("swim", 4).expect("swim").scaled(0.1);
         let cb = CompiledBenchmark::compile(&spec).expect("compiles");
         let proj = crate::project::RandomProjection::new(cb.program().num_blocks(), 15, 7);
-        let mut prof = crate::interval::BoundaryProfiler::new(&proj, cb.outer_header());
+        let mut prof = crate::reference::BoundaryProfiler::new(&proj, cb.outer_header());
         FunctionalSim::new(cb.program()).run(WorkloadStream::new(&cb), &mut prof);
         let intervals = prof.finish();
         let body = &intervals[1..intervals.len() - 1];

@@ -34,9 +34,9 @@
 //! actually pushed the header (a shard that merely continued iterating
 //! a loop entered before its segment has no depth observation).
 //!
-//! The drivers that partition a trace into segments and run shards on
-//! worker threads live in `mlpa-core`; everything here is
-//! stream-agnostic and consumes `(BlockId, len)` records.
+//! The segment walk driving these types lives in `mlpa-core`; here
+//! everything consumes `(BlockId, len)` records, and the merges' oracles
+//! live in [`crate::reference`].
 
 use crate::interval::Interval;
 use crate::loops::{CyclicStructure, LoopProfile};
@@ -221,7 +221,7 @@ fn push_interval(out: &mut Vec<Interval>, raw: RawInterval) {
 // ---------------------------------------------------------------------
 
 /// Prefix tracker for the loop monitor: replays the stack transitions
-/// of [`LoopMonitor`](crate::loops::LoopMonitor) — back-edge detection,
+/// of [`LoopMonitor`](crate::reference::LoopMonitor) — back-edge detection,
 /// address-ordered pops, pushes — without statistics or attribution, so
 /// it is O(1) amortised per block and allocation-light.
 #[derive(Debug, Clone)]
@@ -298,7 +298,7 @@ struct ShardFrame {
     start: u64,
 }
 
-/// Shard-local loop monitor: [`LoopMonitor`](crate::loops::LoopMonitor)
+/// Shard-local loop monitor: [`LoopMonitor`](crate::reference::LoopMonitor)
 /// seeded with the live stack a [`LoopStackTracker`] reconstructed over
 /// the segment's prefix.
 ///
@@ -566,7 +566,7 @@ impl<'a> ShardBoundaryProfiler<'a> {
 
 /// Merge per-shard boundary pieces (in segment order) into the final
 /// `(intervals, has_prologue)` pair, bit-identical to the monolithic
-/// [`BoundaryProfiler`](crate::interval::BoundaryProfiler): pieces
+/// [`BoundaryProfiler`](crate::reference::BoundaryProfiler): pieces
 /// merge like fine intervals, and the trace has a prologue iff the
 /// earliest header entry any shard observed lies past position 0.
 pub fn merge_boundary<I>(shards: I) -> (Vec<Interval>, bool)
@@ -587,8 +587,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{validate_intervals, BoundaryProfiler, FixedLengthProfiler};
-    use crate::loops::LoopMonitor;
+    use crate::interval::{validate_intervals, FixedLengthProfiler};
+    use crate::reference::{BoundaryProfiler, LoopMonitor};
     use mlpa_isa::stream::InstructionStream;
     use mlpa_workloads::{spec::BenchmarkSpec, CompiledBenchmark, WorkloadStream};
 

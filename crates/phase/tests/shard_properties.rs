@@ -10,9 +10,10 @@
 use mlpa_isa::rng::SplitMix64;
 use mlpa_isa::stream::InstructionStream;
 use mlpa_isa::BlockId;
-use mlpa_phase::interval::{validate_intervals, BoundaryProfiler, FixedLengthProfiler, Interval};
-use mlpa_phase::loops::{LoopMonitor, LoopProfile};
+use mlpa_phase::interval::{validate_intervals, FixedLengthProfiler, Interval};
+use mlpa_phase::loops::LoopProfile;
 use mlpa_phase::project::RandomProjection;
+use mlpa_phase::reference::{BoundaryProfiler, LoopMonitor};
 use mlpa_phase::shard::{
     merge_boundary, merge_fine, merge_loops, BoundaryTracker, FineCutTracker, LoopStackTracker,
     ShardBoundaryProfiler, ShardFineProfiler, ShardLoopMonitor,

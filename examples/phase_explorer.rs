@@ -7,11 +7,9 @@
 //! cargo run --release --example phase_explorer [benchmark]
 //! ```
 
-use mlpa::phase::loops::LoopMonitor;
 use mlpa::phase::pca::principal_components;
 use mlpa::prelude::*;
-use mlpa::sim::FunctionalSim;
-use mlpa::workloads::{suite, CompiledBenchmark, WorkloadStream};
+use mlpa::workloads::{suite, CompiledBenchmark};
 
 fn main() -> Result<(), String> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "lucas".into());
@@ -19,11 +17,11 @@ fn main() -> Result<(), String> {
         .ok_or_else(|| format!("unknown benchmark {name}"))?
         .scaled(0.3);
     let cb = CompiledBenchmark::compile(&spec)?;
+    let coasts_cfg = CoastsConfig::default();
+    let mut ctx = ProfilingContext::new(&cb, coasts_cfg.projection, FINE_INTERVAL);
 
     // 1. Cyclic structures (COASTS boundary collection).
-    let mut mon = LoopMonitor::new(cb.program());
-    FunctionalSim::new(cb.program()).run(WorkloadStream::new(&cb), &mut mon);
-    let profile = mon.finish();
+    let profile = ctx.loop_profile().clone();
     println!("cyclic structures of {name} (coverage >= 1%):");
     for s in profile.significant(0.01) {
         println!(
@@ -36,7 +34,7 @@ fn main() -> Result<(), String> {
     }
 
     // 2. Coarse intervals + COASTS selection.
-    let co = coasts(&cb, &CoastsConfig::default())?;
+    let co = coasts_with(&mut ctx, &coasts_cfg)?;
     println!(
         "\ncoarse granularity: {} iteration intervals, {} phases, last point at {:.1}%",
         co.intervals.len(),
@@ -46,21 +44,15 @@ fn main() -> Result<(), String> {
     print_curve(&co.intervals, co.plan.points().iter().map(|p| p.start).collect());
 
     // 3. Fine intervals + SimPoint selection.
-    let fine = simpoint_baseline(
-        &cb,
-        FINE_INTERVAL,
-        &SimPointConfig::fine_10m(),
-        &ProjectionSettings::default(),
-    )?;
-    let proj = ProjectionSettings::default().build(&cb);
-    let fine_ivs = mlpa::core::pipeline::profile_fixed(&cb, FINE_INTERVAL, &proj);
+    let fine = simpoint_baseline_with(&mut ctx, &SimPointConfig::fine_10m())?;
+    let fine_ivs = ctx.fine_intervals();
     println!(
         "\nfine granularity: {} intervals of 10k, {} phases, last point at {:.1}%",
         fine_ivs.len(),
         fine.simpoints.k,
         fine.plan.last_position() * 100.0
     );
-    print_curve(&fine_ivs, fine.plan.points().iter().map(|p| p.start).collect());
+    print_curve(fine_ivs, fine.plan.points().iter().map(|p| p.start).collect());
     Ok(())
 }
 
