@@ -15,7 +15,7 @@
 //! (`mlpa_obs::calibrate`): the probe's ns-per-unit price stamps each
 //! emitted snapshot, and each bench also records
 //! `normalized = mean_ns / probe_ns` — a machine-independent cost the
-//! `bench-gate` binary compares across hosts. Derived speedups are
+//! `mlpa-obs gate` subcommand compares across hosts. Derived speedups are
 //! within-run by construction (both sides of every ratio measured in
 //! this same process); the headline `detailed_sim` speedup additionally
 //! comes from interleaved A/B rounds (the `ab_detailed` idiom) rather
@@ -509,20 +509,19 @@ fn derived_speedups(
 }
 
 /// Append this run as one snapshot of the perf *trajectory*
-/// (`BENCH.json` at the repo top level): prior snapshots — v1 raw-ns
-/// ones included — are preserved verbatim, so the file records how
-/// kernel cost and the derived speedups evolve change over change. New
-/// snapshots are stamped with this run's in-process calibration and
-/// host metadata, and each bench carries its machine-normalized cost;
-/// the document schema advances to `mlpa-bench-suite-v2`. The snapshot
-/// label comes from `MLPA_BENCH_LABEL` (defaulting to `snapshot-<n>`).
+/// (`BENCH.json` at the repo top level): prior snapshots are preserved
+/// verbatim, so the file records how kernel cost and the derived
+/// speedups evolve change over change. Each snapshot is stamped with
+/// its run's in-process calibration and host metadata, and each bench
+/// carries its machine-normalized cost. The snapshot label comes from
+/// `MLPA_BENCH_LABEL` (defaulting to `snapshot-<n>`).
 fn write_trajectory(
     path: &std::ffi::OsStr,
     measurements: &[criterion::Measurement],
     cal: &mlpa_obs::calibrate::MachineCalibration,
     ab_detailed: f64,
 ) {
-    use mlpa_obs::calibrate::{BENCH_SUITE_SCHEMA, BENCH_SUITE_SCHEMA_V1};
+    use mlpa_obs::calibrate::BENCH_SUITE_SCHEMA;
     use mlpa_obs::json::{parse, Value};
     use std::collections::BTreeMap;
 
@@ -530,12 +529,7 @@ fn write_trajectory(
     if let Ok(text) = std::fs::read_to_string(path) {
         let schema_of = |v: &Value| v.get("schema").and_then(Value::as_str).map(str::to_string);
         match parse(&text) {
-            Ok(v)
-                if matches!(
-                    schema_of(&v).as_deref(),
-                    Some(BENCH_SUITE_SCHEMA) | Some(BENCH_SUITE_SCHEMA_V1)
-                ) =>
-            {
+            Ok(v) if schema_of(&v).as_deref() == Some(BENCH_SUITE_SCHEMA) => {
                 if let Some(arr) = v.get("snapshots").and_then(Value::as_arr) {
                     snapshots.extend(arr.iter().map(Value::to_string));
                 }

@@ -447,7 +447,7 @@ fn run(o: &Options) -> Result<(), String> {
         let mut extra: Vec<(String, String)> =
             attribution_json.into_iter().map(|j| ("attribution".to_string(), j)).collect();
         // Peak RSS and host identity are machine-dependent, so they
-        // live in their own `resources` section that obs-diff does not
+        // live in their own `resources` section that `mlpa-obs diff` does not
         // gate on — alongside wall-clock, they document the memory
         // footprint and the machine behind paper-scale
         // (--scale 1.0 --shards N) runs.

@@ -150,7 +150,7 @@ pub fn accuracy_report(results: &[BenchResult]) -> String {
 }
 
 /// The `attribution` JSON section of `RUN_REPORT.json` (validated by
-/// `obs-check`).
+/// `mlpa-obs check`).
 pub fn accuracy_json(results: &[BenchResult]) -> String {
     let attrs: Vec<mlpa_core::AccuracyAttribution> =
         results.iter().map(|r| r.attribution.clone()).collect();

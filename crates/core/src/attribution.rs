@@ -92,7 +92,7 @@ impl AccuracyAttribution {
     }
 
     /// Render as a JSON object matching the `attribution` entry
-    /// contract `obs-check` validates (`benchmark` + `phases` with
+    /// contract `mlpa-obs check` validates (`benchmark` + `phases` with
     /// numeric `cluster`/`weight`/`cpi_err_share`).
     pub fn to_json(&self) -> Value {
         let est = |e: &MetricEstimate| {
@@ -231,7 +231,7 @@ pub fn attribute_segments(
 }
 
 /// Render a set of attributions as the `attribution` JSON array
-/// injected into `RUN_REPORT.json` (and validated by `obs-check`).
+/// injected into `RUN_REPORT.json` (and validated by `mlpa-obs check`).
 pub fn render_attribution_json(attrs: &[AccuracyAttribution]) -> String {
     Value::Arr(attrs.iter().map(AccuracyAttribution::to_json).collect()).to_string()
 }

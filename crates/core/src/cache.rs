@@ -59,7 +59,7 @@
 //! spans and maintain the `core.cache.{hits,misses,stores,
 //! verify_failures,verify_evictions,evictions,read_errors}` counters
 //! plus the `core.cache.bytes` gauge, so a run report shows exactly
-//! how warm a run was and the obs-diff gate can pin cache determinism.
+//! how warm a run was and the `mlpa-obs diff` gate can pin cache determinism.
 //! `read_errors` (transient I/O failures on lookup) is deliberately
 //! separate from a plain miss: a daemon operator must be able to tell
 //! disk trouble from a cold cache.

@@ -364,13 +364,19 @@ fn simulate_point_standalone(
         WarmupMode::Warmed => {
             let mut hier = MemoryHierarchy::new(config);
             let mut bu = BranchUnit::new(&config.predictor);
-            let prefix = func.fast_forward(
-                &mut stream,
-                start,
-                &mut (),
-                Warming::Warm,
-                Some((&mut hier, &mut bu)),
-            );
+            // Same span and work counter as the serial path's warming,
+            // so a pooled run's warming is attributed too.
+            let prefix = {
+                let _span = mlpa_obs::span("core.plan.warm");
+                func.fast_forward(
+                    &mut stream,
+                    start,
+                    &mut (),
+                    Warming::Warm,
+                    Some((&mut hier, &mut bu)),
+                )
+            };
+            mlpa_obs::add("core.plan.warm_insts", prefix);
             let mut sim = DetailedSim::with_warm_state(*config, cb.program(), hier, bu);
             (prefix, sim.simulate(&mut stream, len))
         }
@@ -894,6 +900,23 @@ mod tests {
                 assert_eq!(serial, par, "jobs={jobs} mode={mode:?} diverged from serial");
             }
         }
+    }
+
+    /// The pooled path's standalone points warm their whole prefix, and
+    /// that warming is counted like the serial path's.
+    #[test]
+    fn pooled_warming_is_counted() {
+        let _lock = crate::testobs::counter_lock();
+        let cb = cb();
+        let plan = plan_of(
+            &cb,
+            &[(0.05, 0.03, 0.2), (0.2, 0.04, 0.2), (0.45, 0.03, 0.3), (0.7, 0.05, 0.3)],
+        );
+        let starts: u64 = plan.points().iter().map(|p| p.start).sum();
+        let before = mlpa_obs::counter_value("core.plan.warm_insts");
+        execute_plan_jobs(&cb, &MachineConfig::table1_base(), &plan, WarmupMode::Warmed, 4);
+        let warmed = mlpa_obs::counter_value("core.plan.warm_insts") - before;
+        assert!(warmed >= starts, "warmed {warmed} instructions, points start at {starts} total");
     }
 
     #[test]

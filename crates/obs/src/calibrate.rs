@@ -23,7 +23,7 @@
 //!   those normalized ratios, with **adaptive thresholds** widened by
 //!   the measured dispersion of both calibrations (and by each bench's
 //!   own min/max spread): one dispersion band warns, two fail. The
-//!   `bench-gate` binary wraps this as the CI `perf-gate` job.
+//!   `mlpa-obs gate` subcommand wraps this as the CI `perf-gate` job.
 //!
 //! The probe timer is a trait ([`ProbeTimer`]) so the scale-up and the
 //! statistics are testable against an injected fake timer with no real
@@ -311,14 +311,10 @@ pub fn calibrate() -> MachineCalibration {
 // Snapshots (the BENCH.json bench-suite schema)
 // ---------------------------------------------------------------------------
 
-/// Current schema of the `BENCH.json` perf trajectory. v2 adds the
-/// `calibration` and `host` blocks plus per-bench `normalized` values;
-/// v1 snapshots (raw ns only) still parse and are preserved verbatim
-/// when new snapshots are appended.
+/// Schema of the `BENCH.json` perf trajectory: every snapshot carries
+/// a `calibration` block, and every bench its min/max samples and its
+/// machine-`normalized` cost. It is the only trajectory schema read.
 pub const BENCH_SUITE_SCHEMA: &str = "mlpa-bench-suite-v2";
-
-/// Previous trajectory schema (raw nanoseconds only).
-pub const BENCH_SUITE_SCHEMA_V1: &str = "mlpa-bench-suite-v1";
 
 /// One bench's measurements inside a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -329,14 +325,14 @@ pub struct BenchPoint {
     pub id: String,
     /// Mean wall-clock per iteration, ns.
     pub mean_ns: f64,
-    /// Fastest sample, ns (absent in v1 trajectory snapshots).
-    pub min_ns: Option<f64>,
-    /// Slowest sample, ns (absent in v1 trajectory snapshots).
-    pub max_ns: Option<f64>,
+    /// Fastest sample, ns.
+    pub min_ns: f64,
+    /// Slowest sample, ns.
+    pub max_ns: f64,
     /// Timed samples behind the mean.
     pub samples: u64,
-    /// `mean_ns / probe_ns` — machine-normalized cost (v2 only).
-    pub normalized: Option<f64>,
+    /// `mean_ns / probe_ns` — machine-normalized cost.
+    pub normalized: f64,
 }
 
 impl BenchPoint {
@@ -345,14 +341,13 @@ impl BenchPoint {
         format!("{}/{}", self.group, self.id)
     }
 
-    /// Relative min–max spread of this bench's own samples (0 when the
-    /// snapshot lacks min/max or has a single sample).
+    /// Relative min–max spread of this bench's own samples (0 for a
+    /// single sample).
     pub fn spread(&self) -> f64 {
-        match (self.min_ns, self.max_ns) {
-            (Some(min), Some(max)) if self.samples > 1 && self.mean_ns > 0.0 => {
-                (max - min) / self.mean_ns
-            }
-            _ => 0.0,
+        if self.samples > 1 && self.mean_ns > 0.0 {
+            (self.max_ns - self.min_ns) / self.mean_ns
+        } else {
+            0.0
         }
     }
 }
@@ -367,19 +362,8 @@ pub struct Snapshot {
     /// Within-snapshot derived speedups (`naive / current` mean
     /// ratios; never computed across snapshots).
     pub speedups: BTreeMap<String, f64>,
-    /// The machine calibration stamped on this snapshot (v2 only).
-    pub calibration: Option<MachineCalibration>,
-}
-
-impl Snapshot {
-    /// Machine-normalized cost of a bench: the stored `normalized`
-    /// value, or `mean_ns / probe_ns` when only the calibration block
-    /// is present.
-    pub fn normalized(&self, b: &BenchPoint) -> Option<f64> {
-        b.normalized.or_else(|| {
-            self.calibration.as_ref().map(|c| b.mean_ns / c.probe_ns.max(f64::MIN_POSITIVE))
-        })
-    }
+    /// The machine calibration stamped on this snapshot.
+    pub calibration: MachineCalibration,
 }
 
 /// Parse one snapshot object.
@@ -406,10 +390,10 @@ pub fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
             group: s("group")?,
             id: s("id")?,
             mean_ns: num("mean_ns")?,
-            min_ns: b.get("min_ns").and_then(Value::as_f64),
-            max_ns: b.get("max_ns").and_then(Value::as_f64),
+            min_ns: num("min_ns")?,
+            max_ns: num("max_ns")?,
             samples: num("samples")? as u64,
-            normalized: b.get("normalized").and_then(Value::as_f64),
+            normalized: num("normalized")?,
         });
     }
     let mut speedups = BTreeMap::new();
@@ -420,20 +404,19 @@ pub fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
             }
         }
     }
-    let calibration = match v.get("calibration") {
-        Some(c) => Some(
-            MachineCalibration::from_value(c).map_err(|e| format!("snapshot `{label}`: {e}"))?,
-        ),
-        None => None,
-    };
+    let calibration = v
+        .get("calibration")
+        .ok_or("no calibration block".to_string())
+        .and_then(MachineCalibration::from_value)
+        .map_err(|e| format!("snapshot `{label}`: {e}"))?;
     Ok(Snapshot { label, benches, speedups, calibration })
 }
 
-/// Parse a whole trajectory document (`BENCH.json`), accepting both the
-/// v1 and v2 suite schemas.
+/// Parse a whole [`BENCH_SUITE_SCHEMA`] trajectory document
+/// (`BENCH.json`); any other schema is refused by name.
 pub fn parse_trajectory(v: &Value) -> Result<Vec<Snapshot>, String> {
     match v.get("schema").and_then(Value::as_str) {
-        Some(BENCH_SUITE_SCHEMA) | Some(BENCH_SUITE_SCHEMA_V1) => {}
+        Some(BENCH_SUITE_SCHEMA) => {}
         Some(other) => return Err(format!("unsupported trajectory schema `{other}`")),
         None => return Err("missing `schema` field".into()),
     }
@@ -555,19 +538,10 @@ impl GateReport {
     }
 }
 
-/// Gate `cand` against `base` on machine-normalized ratios. Both
-/// snapshots must carry a calibration block — gating raw nanoseconds
-/// across machines is exactly the lie this module exists to retire.
-pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateReport, String> {
-    let base_cal = base
-        .calibration
-        .as_ref()
-        .ok_or_else(|| format!("baseline snapshot `{}` has no calibration block", base.label))?;
-    let cand_cal = cand
-        .calibration
-        .as_ref()
-        .ok_or_else(|| format!("candidate snapshot `{}` has no calibration block", cand.label))?;
-    let cal_band = cfg.min_band + base_cal.dispersion + cand_cal.dispersion;
+/// Gate `cand` against `base` on machine-normalized ratios — never on
+/// raw nanoseconds, which do not transfer across machines.
+pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> GateReport {
+    let cal_band = cfg.min_band + base.calibration.dispersion + cand.calibration.dispersion;
 
     let mut report = GateReport::default();
     let cand_by_key: BTreeMap<String, &BenchPoint> =
@@ -575,7 +549,7 @@ pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateRe
 
     for b in &base.benches {
         let key = b.key();
-        let Some(base_norm) = base.normalized(b) else { continue };
+        let base_norm = b.normalized;
         if b.mean_ns < cfg.min_gate_ns {
             report.notes.push(format!(
                 "bench `{key}` is below the {:.0}µs gate floor (mean {:.0} ns): not gated",
@@ -597,7 +571,7 @@ pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateRe
                 });
             }
             Some(c) => {
-                let Some(cand_norm) = cand.normalized(c) else { continue };
+                let cand_norm = c.normalized;
                 let band = cal_band + b.spread() + c.spread();
                 let ratio = cand_norm / base_norm.max(f64::MIN_POSITIVE);
                 report.rows.push(GateRow {
@@ -640,7 +614,7 @@ pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateRe
             }
         }
     }
-    Ok(report)
+    report
 }
 
 fn verdict_for(ratio: f64, band: f64, cfg: &GateConfig) -> Verdict {
@@ -659,8 +633,8 @@ fn verdict_for(ratio: f64, band: f64, cfg: &GateConfig) -> Verdict {
 
 /// Render the per-group trajectory across snapshots: one row per bench
 /// group, one column per snapshot, each cell the geometric mean of the
-/// group's normalized bench costs (`-` when the snapshot predates
-/// calibration). Geometric mean, because normalized costs are ratios.
+/// group's normalized bench costs (`-` when the snapshot has none of the
+/// group's benches). Geometric mean, because normalized costs are ratios.
 pub fn trajectory_table(snapshots: &[Snapshot]) -> String {
     let mut groups: Vec<String> = Vec::new();
     for s in snapshots {
@@ -683,7 +657,7 @@ pub fn trajectory_table(snapshots: &[Snapshot]) -> String {
                 .benches
                 .iter()
                 .filter(|b| &b.group == g)
-                .filter_map(|b| s.normalized(b))
+                .map(|b| b.normalized)
                 .filter(|&n| n > 0.0)
                 .collect();
             if norms.is_empty() {
@@ -904,14 +878,14 @@ mod tests {
                     group: g.to_string(),
                     id: i.to_string(),
                     mean_ns: *mean,
-                    min_ns: Some(*mean),
-                    max_ns: Some(*mean),
+                    min_ns: *mean,
+                    max_ns: *mean,
                     samples: 10,
-                    normalized: Some(*mean / 100.0),
+                    normalized: *mean / 100.0,
                 })
                 .collect(),
             speedups: BTreeMap::new(),
-            calibration: Some(cal),
+            calibration: cal,
         }
     }
 
@@ -919,11 +893,11 @@ mod tests {
     fn gate_passes_identical_snapshots_and_fails_missing_benches() {
         let cfg = GateConfig::default();
         let base = snap("base", &[("g", "a", 1e7), ("g", "b", 2e7)], 0.02);
-        let report = gate(&base, &base, &cfg).unwrap();
+        let report = gate(&base, &base, &cfg);
         assert_eq!(report.worst(), Verdict::Ok);
 
         let cand = snap("cand", &[("g", "a", 1e7)], 0.02);
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_eq!(report.worst(), Verdict::Fail);
         assert!(report.rows.iter().any(|r| r.name == "g/b" && r.verdict == Verdict::Fail));
     }
@@ -936,12 +910,12 @@ mod tests {
         for (factor, expected) in [(1.05, Verdict::Ok), (1.2, Verdict::Warn), (1.30, Verdict::Fail)]
         {
             let cand = snap("cand", &[("g", "a", 1e7 * factor)], 0.02);
-            let report = gate(&base, &cand, &cfg).unwrap();
+            let report = gate(&base, &cand, &cfg);
             assert_eq!(report.worst(), expected, "factor {factor}: {}", report.table());
         }
         // Faster is never a regression (one-sided).
         let cand = snap("cand", &[("g", "a", 1e5)], 0.02);
-        assert_eq!(gate(&base, &cand, &cfg).unwrap().worst(), Verdict::Ok);
+        assert_eq!(gate(&base, &cand, &cfg).worst(), Verdict::Ok);
     }
 
     #[test]
@@ -952,23 +926,11 @@ mod tests {
         let cfg = GateConfig::default();
         let base = snap("base", &[("g", "tiny", 8e4), ("g", "big", 1e7)], 0.02);
         let cand = snap("cand", &[("g", "tiny", 8e5), ("g", "big", 1e7)], 0.02);
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_eq!(report.worst(), Verdict::Ok, "{}", report.table());
         assert!(!report.rows.iter().any(|r| r.name == "g/tiny"));
         assert!(report.notes.iter().any(|n| n.contains("g/tiny") && n.contains("floor")));
         assert!(report.rows.iter().any(|r| r.name == "g/big"));
-    }
-
-    #[test]
-    fn gate_requires_calibration_blocks() {
-        let base = snap("base", &[("g", "a", 1e7)], 0.02);
-        let mut uncal = base.clone();
-        uncal.calibration = None;
-        uncal.benches[0].normalized = None;
-        let err = gate(&uncal, &base, &GateConfig::default()).unwrap_err();
-        assert!(err.contains("no calibration"), "{err}");
-        let err = gate(&base, &uncal, &GateConfig::default()).unwrap_err();
-        assert!(err.contains("no calibration"), "{err}");
     }
 
     #[test]
@@ -978,7 +940,7 @@ mod tests {
         base.speedups.insert("detailed_sim".into(), 2.2);
         let mut cand = snap("cand", &[("g", "a", 1e7)], 0.02);
         cand.speedups.insert("detailed_sim".into(), 1.5);
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert!(
             report
                 .rows
@@ -989,35 +951,54 @@ mod tests {
         );
         // A missing speedup (pair not run) is a note, not a failure.
         cand.speedups.clear();
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_eq!(report.worst(), Verdict::Ok);
         assert!(report.notes.iter().any(|n| n.contains("detailed_sim")));
     }
 
-    #[test]
-    fn trajectory_parses_v1_and_v2_and_renders_a_table() {
-        let doc = r#"{
-          "schema": "mlpa-bench-suite-v1",
-          "snapshots": [
-            {"label": "old", "benches": [
-              {"group": "g", "id": "a", "mean_ns": 1000, "samples": 10}
-            ], "speedups": {"k": 2.0}}
-          ]
-        }"#;
-        let snaps = parse_trajectory(&json::parse(doc).unwrap()).unwrap();
-        assert_eq!(snaps.len(), 1);
-        assert!(snaps[0].calibration.is_none());
-        assert_eq!(snaps[0].speedups["k"], 2.0);
+    fn trajectory(schema: &str, snapshot: &str) -> Result<Vec<Snapshot>, String> {
+        let doc = format!("{{\"schema\": \"{schema}\", \"snapshots\": [{snapshot}]}}");
+        parse_trajectory(&json::parse(&doc).unwrap())
+    }
 
-        let v2 = snap("new", &[("g", "a", 800.0)], 0.02);
-        let table = trajectory_table(&[snaps[0].clone(), v2]);
-        // v1 column has no normalized value; v2 column shows 8.0.
-        assert!(table.contains("g "), "{table}");
+    #[test]
+    fn trajectory_parses_and_renders_a_table() {
+        let cal = snap("x", &[], 0.02).calibration.to_json();
+        let bench = "{\"group\": \"g\", \"id\": \"a\", \"mean_ns\": 800, \"min_ns\": 790, \
+                     \"max_ns\": 810, \"samples\": 10, \"normalized\": 8.0}";
+        let one = format!(
+            "{{\"label\": \"new\", \"calibration\": {cal}, \"benches\": [{bench}], \
+             \"speedups\": {{\"k\": 2.0}}}}"
+        );
+        let snaps = trajectory(BENCH_SUITE_SCHEMA, &one).unwrap();
+        assert_eq!(snaps.len(), 1);
+        assert_eq!(snaps[0].calibration.probe_ns, 100.0);
+        assert_eq!(snaps[0].speedups["k"], 2.0);
+        assert_eq!(snaps[0].benches[0].spread(), 20.0 / 800.0);
+
+        let other = snap("other", &[("h", "b", 500.0)], 0.02);
+        let table = trajectory_table(&[snaps[0].clone(), other]);
+        // Each group shows its geomean where the snapshot has it, `-`
+        // where it does not.
+        assert!(table.contains("8.000") && table.contains("5.000"), "{table}");
         assert!(table.contains('-'), "{table}");
-        assert!(table.contains("8.000"), "{table}");
-        assert!(parse_trajectory(
-            &json::parse("{\"schema\": \"nope\", \"snapshots\": []}").unwrap()
-        )
-        .is_err());
+
+        // Every snapshot must carry its calibration and every bench its
+        // min/max and normalized cost.
+        let uncalibrated = one.replace(&format!("\"calibration\": {cal}, "), "");
+        let err = trajectory(BENCH_SUITE_SCHEMA, &uncalibrated).unwrap_err();
+        assert!(err.contains("no calibration"), "{err}");
+        let raw_ns = one.replace(", \"normalized\": 8.0", "");
+        assert!(trajectory(BENCH_SUITE_SCHEMA, &raw_ns).unwrap_err().contains("normalized"));
+    }
+
+    #[test]
+    fn trajectories_of_other_schemas_are_refused_by_name() {
+        // The raw-nanosecond v1 trajectory is no longer read.
+        let v1 = "{\"label\": \"old\", \"benches\": [{\"group\": \"g\", \"id\": \"a\", \
+                  \"mean_ns\": 1000, \"samples\": 10}]}";
+        let err = trajectory("mlpa-bench-suite-v1", v1).unwrap_err();
+        assert!(err.contains("`mlpa-bench-suite-v1`"), "{err}");
+        assert!(trajectory("nope", v1).is_err());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline (no serde), but the observability layer
 //! both *emits* JSON (the JSONL event sink, `RUN_REPORT.json`) and
-//! *validates* it (the `obs-check` schema checker, the sink tests), so
+//! *validates* it (the `mlpa-obs` tool, the sink tests), so
 //! a small recursive-descent parser lives here. It accepts exactly the
 //! JSON this repo produces: objects, arrays, strings with `\uXXXX` and
 //! the standard short escapes, finite numbers, booleans, and null.

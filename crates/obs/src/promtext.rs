@@ -1,5 +1,5 @@
 //! Prometheus text exposition (version 0.0.4) for the `/metrics`
-//! endpoint, plus a strict parser used by `obs-check` and CI to
+//! endpoint, plus a strict parser used by `mlpa-obs check` and CI to
 //! validate scrapes and check counter monotonicity between them.
 //!
 //! Mapping of obs instruments onto Prometheus families:

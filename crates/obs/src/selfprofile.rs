@@ -8,7 +8,7 @@
 //!
 //! Determinism contract: span *names*, *call counts*, and tree edges
 //! (parent, name, calls) are deterministic for a fixed configuration
-//! and are gated by `obs-diff`; every timing field (`total_s`,
+//! and are gated by `mlpa-obs diff`; every timing field (`total_s`,
 //! `self_s`, quantiles, pool utilization) is machine-dependent and is
 //! never gated.
 

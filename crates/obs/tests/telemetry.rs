@@ -72,7 +72,7 @@ fn sampler_interleaves_cleanly_with_concurrent_instruments() {
     mlpa_obs::finish();
 
     // Every line parses (parse_lines panics on a torn line) and the
-    // stream passes the same contracts obs-check enforces.
+    // stream passes the same contracts `mlpa-obs check` enforces.
     let events = parse_lines(&sink);
     let samples = samples(&events);
     assert!(samples.len() >= 2, "expected several samples, got {}", samples.len());

@@ -14,7 +14,7 @@
 # host blocks, and every bench records a machine-normalized cost
 # (mean_ns / probe_ns) next to its raw nanoseconds. The CI perf-gate
 # job replays this in smoke mode and gates a fresh candidate snapshot
-# against the committed BENCH.json with `bench-gate` on those
+# against the committed BENCH.json with `mlpa-obs gate` on those
 # normalized costs. Before recording a baseline worth gating against,
 # check the host is quiet:
 #
